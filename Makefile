@@ -4,11 +4,11 @@
 # parallel experiment scheduler and the jasd worker pool), the workload
 # pack calibration gate (quick-scale scalars + report vs testdata
 # goldens for all three packs), a one-shot benchmark smoke of the
-# Figure 2 pipeline, the jasd service smoke (real daemon on a
-# random port, golden-report diff, graceful drain), the sweep smoke
-# (12-cell grid through the real daemon costing exactly one
-# request-level simulation), and the loadgen smoke (ramp spec vs its
-# recorded trace: distinct jobs, byte-identical reports).
+# Figure 2 pipeline and the db/jvm substrate, the jasd service smoke
+# (real daemon on a random port, golden-report diff, graceful drain),
+# the sweep smoke (12-cell grid through the real daemon costing
+# exactly one request-level simulation), and the loadgen smoke (ramp
+# spec vs its recorded trace: distinct jobs, byte-identical reports).
 
 GO ?= go
 
@@ -60,9 +60,12 @@ calibrate:
 
 # The floor checks (JAS_BENCH_FLOOR=1) fail if the pipelined or the
 # sharded-auto detail stream is slower than the fused loop: neither
-# schedule may ever be a pessimization on the CI host.
+# schedule may ever be a pessimization on the CI host. The db and jvm
+# substrate microbenchmarks (WAL commit, scan after delete, heap collect)
+# run once each so they keep compiling and running.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkFig2|BenchmarkDetailStream|BenchmarkBuildReport' -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'BenchmarkWALCommit|BenchmarkScanAfterDelete|BenchmarkHeapCollect' -benchmem -benchtime 1x ./internal/db/ ./internal/jvm/
 	JAS_BENCH_FLOOR=1 $(GO) test -run 'TestPipelinedFloor|TestShardedFloor' -count 1 .
 
 # Measured numbers for the README perf table: the stream benchmarks get

@@ -10,7 +10,7 @@ package db
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Value is a column value. The workload only needs integer-valued columns;
@@ -44,14 +44,14 @@ type Table struct {
 	free []RowID
 	pk   map[Value]RowID
 
-	// Ordered key index for range scans. sortedKeys[:sortedLen] is
-	// sorted; inserts append to an unsorted tail that the next Scan
-	// sorts and merges in (O(tail log tail + n), not a full re-sort).
-	// Deletions leave stale keys in the prefix, so they force the next
-	// Scan to rebuild from pk — rare in this workload's traffic.
+	// Ordered key index for range scans: every key of pk appears in
+	// sortedKeys exactly once. sortedKeys[:sortedLen] is sorted; inserts
+	// append to an unsorted tail that the next Scan sorts and merges in
+	// (O(tail log tail + n), not a full re-sort). Deletes remove the key
+	// in place (see unindex) — trade6 deletes a holding on every sell, so
+	// they are as common as the scans that follow them.
 	sortedKeys []Value
 	sortedLen  int
-	deleted    bool
 	tailBuf    []Value // reindex scratch for the unsorted tail
 }
 
@@ -189,8 +189,25 @@ func (d *Database) deleteRow(t *Table, key Value) (Row, error) {
 	t.rows[id] = nil
 	delete(t.pk, key)
 	t.free = append(t.free, id)
-	t.deleted = true
+	t.unindex(key)
 	return old, nil
+}
+
+// unindex removes a deleted key from the ordered index: by binary search
+// from the sorted prefix, else from the unsorted tail, searched from the
+// end because an Abort's undo-insert removes the newest key.
+func (t *Table) unindex(key Value) {
+	if i, ok := slices.BinarySearch(t.sortedKeys[:t.sortedLen], key); ok {
+		t.sortedKeys = slices.Delete(t.sortedKeys, i, i+1)
+		t.sortedLen--
+		return
+	}
+	for i := len(t.sortedKeys) - 1; i >= t.sortedLen; i-- {
+		if t.sortedKeys[i] == key {
+			t.sortedKeys = slices.Delete(t.sortedKeys, i, i+1)
+			return
+		}
+	}
 }
 
 // Get returns a copy of the row with the given primary key.
@@ -209,21 +226,11 @@ func (d *Database) Get(table string, key Value) (Row, error) {
 
 // reindex restores the sorted-key invariant before a range scan.
 func (t *Table) reindex() {
-	if t.deleted {
-		t.sortedKeys = t.sortedKeys[:0]
-		for k := range t.pk {
-			t.sortedKeys = append(t.sortedKeys, k)
-		}
-		sort.Slice(t.sortedKeys, func(i, j int) bool { return t.sortedKeys[i] < t.sortedKeys[j] })
-		t.deleted = false
-		t.sortedLen = len(t.sortedKeys)
-		return
-	}
 	if len(t.sortedKeys) == t.sortedLen {
 		return
 	}
 	tail := append(t.tailBuf[:0], t.sortedKeys[t.sortedLen:]...)
-	sort.Slice(tail, func(i, j int) bool { return tail[i] < tail[j] })
+	slices.Sort(tail) // keys are unique, so the order is fully determined
 	// Backward merge of the sorted prefix with the scratch copy of the
 	// tail: the write cursor k stays strictly above the prefix read
 	// cursor (k >= i+j+1 > i), so no prefix key is clobbered unread.
@@ -251,7 +258,7 @@ func (d *Database) Scan(table string, lo, hi Value, limit int) ([]Row, error) {
 		return nil, err
 	}
 	t.reindex()
-	start := sort.Search(len(t.sortedKeys), func(i int) bool { return t.sortedKeys[i] >= lo })
+	start, _ := slices.BinarySearch(t.sortedKeys, lo)
 	var out []Row
 	for i := start; i < len(t.sortedKeys) && t.sortedKeys[i] <= hi; i++ {
 		if limit > 0 && len(out) >= limit {

@@ -2,7 +2,9 @@ package db
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -231,6 +233,159 @@ func TestScan(t *testing.T) {
 	rows, _ = d.Scan("t", 3, 5, 0)
 	if len(rows) != 3 || rows[1][0] != 4 {
 		t.Fatalf("post-insert scan = %v", rows)
+	}
+}
+
+// checkOrderedIndex verifies the ordered key index against pk: the
+// prefix is strictly ascending, and the whole index, sorted, is exactly
+// pk's key set — no duplicates and no stale keys.
+func checkOrderedIndex(tb *Table) error {
+	prefix := tb.sortedKeys[:tb.sortedLen]
+	for i := 1; i < len(prefix); i++ {
+		if prefix[i-1] >= prefix[i] {
+			return fmt.Errorf("sorted prefix not strictly ascending at %d: %v", i, prefix)
+		}
+	}
+	got := slices.Clone(tb.sortedKeys)
+	slices.Sort(got)
+	want := make([]Value, 0, len(tb.pk))
+	for k := range tb.pk {
+		want = append(want, k)
+	}
+	slices.Sort(want)
+	if !slices.Equal(got, want) {
+		return fmt.Errorf("index keys %v, pk keys %v", got, want)
+	}
+	return nil
+}
+
+// scanReference is Scan computed the slow way, straight from pk.
+func scanReference(tb *Table, lo, hi Value, limit int) []Row {
+	var keys []Value
+	for k := range tb.pk {
+		if k >= lo && k <= hi {
+			keys = append(keys, k)
+		}
+	}
+	slices.Sort(keys)
+	if limit > 0 && len(keys) > limit {
+		keys = keys[:limit]
+	}
+	var out []Row
+	for _, k := range keys {
+		out = append(out, tb.rows[tb.pk[k]])
+	}
+	return out
+}
+
+// Property: under any mix of inserts, deletes, aborts and scans the
+// incrementally maintained ordered index stays exactly pk's key set, and
+// every Scan agrees with a reference filter over pk.
+func TestOrderedIndexProperty(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		d := testDB(t)
+		tb, _ := d.CreateTable("t", 2, 10)
+		tx := d.Begin()
+		for op := 0; op < 400; op++ {
+			k := Value(rng.Intn(60))
+			switch r := rng.Intn(10); {
+			case r < 4:
+				tx.Insert("t", Row{k, Value(rng.Intn(100))}) // dup keys fail; fine
+			case r < 7:
+				tx.Delete("t", k) // missing keys fail; fine
+			case r < 9:
+				lo := Value(rng.Intn(70) - 5)
+				hi := lo + Value(rng.Intn(30))
+				limit := rng.Intn(6)
+				got, err := d.Scan("t", lo, hi, limit)
+				if err != nil {
+					t.Logf("scan: %v", err)
+					return false
+				}
+				if want := scanReference(tb, lo, hi, limit); !slices.EqualFunc(got, want, slices.Equal) {
+					t.Logf("scan [%d,%d] limit %d = %v, want %v", lo, hi, limit, got, want)
+					return false
+				}
+			default:
+				var err error
+				if rng.Intn(2) == 0 {
+					err = tx.Abort()
+				} else {
+					err = tx.Commit()
+				}
+				if err != nil {
+					t.Logf("finish: %v", err)
+					return false
+				}
+				tx = d.Begin()
+			}
+			if err := checkOrderedIndex(tb); err != nil {
+				t.Logf("op %d: %v", op, err)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// The two shapes that could leave a duplicate or stale key behind: a key
+// deleted and reinserted before any Scan, and a delete of a key that is
+// still in the unsorted tail (including an Abort's undo-insert).
+func TestOrderedIndexDeleteCases(t *testing.T) {
+	d := testDB(t)
+	tb, _ := d.CreateTable("t", 2, 10)
+	check := func(step string) {
+		t.Helper()
+		if err := checkOrderedIndex(tb); err != nil {
+			t.Fatalf("%s: %v", step, err)
+		}
+	}
+	tx := d.Begin()
+	for _, k := range []Value{5, 1, 9, 3, 7} {
+		tx.Insert("t", Row{k, k * 10})
+	}
+	tx.Commit()
+	d.Scan("t", 0, 100, 0) // sort everything into the prefix
+	if tb.sortedLen != 5 {
+		t.Fatalf("sortedLen = %d after scan, want 5", tb.sortedLen)
+	}
+
+	// Delete from the sorted prefix, then reinsert the same key before
+	// any Scan: it must appear once, in the tail.
+	tx = d.Begin()
+	tx.Delete("t", 3)
+	check("prefix delete")
+	if tb.sortedLen != 4 {
+		t.Fatalf("sortedLen = %d after prefix delete, want 4", tb.sortedLen)
+	}
+	tx.Insert("t", Row{3, 33})
+	tx.Commit()
+	check("reinsert before scan")
+	rows, _ := d.Scan("t", 0, 100, 0)
+	if len(rows) != 5 || rows[1][0] != 3 || rows[1][1] != 33 {
+		t.Fatalf("scan after delete+reinsert = %v", rows)
+	}
+
+	// Delete keys still in the unsorted tail: an older tail key
+	// explicitly, and the newest one through an Abort's undo-insert.
+	tx = d.Begin()
+	tx.Insert("t", Row{4, 40})
+	tx.Insert("t", Row{8, 80})
+	tx.Insert("t", Row{2, 20})
+	tx.Delete("t", 8)
+	check("tail delete")
+	if tb.sortedLen != 5 || len(tb.sortedKeys) != 7 {
+		t.Fatalf("sortedLen=%d len=%d after tail delete, want 5 and 7", tb.sortedLen, len(tb.sortedKeys))
+	}
+	tx.Abort() // undoes delete 8 (reinsert), then the three inserts
+	check("abort")
+	rows, _ = d.Scan("t", 0, 100, 0)
+	if len(rows) != 5 || rows[0][0] != 1 || rows[4][0] != 9 {
+		t.Fatalf("scan after abort = %v", rows)
 	}
 }
 

@@ -52,8 +52,13 @@ type WAL struct {
 	storage Storage
 	group   int // commits per flush
 
-	lsn            uint64
-	tail           []LogRecord // bounded in-memory tail for inspection/replay
+	lsn uint64
+	// tail is a fixed-capacity ring of the newest tailCap records, kept
+	// for inspection and replay. It fills by append; once full, each new
+	// record overwrites the oldest at tail[head] and head advances, so an
+	// append is O(1).
+	tail           []LogRecord
+	head           int
 	tailCap        int
 	pendingCommits int
 	flushes        uint64
@@ -78,11 +83,14 @@ func NewWAL(storage Storage, groupCommit int) (*WAL, error) {
 func (w *WAL) append(rec LogRecord) uint64 {
 	w.lsn++
 	rec.LSN = w.lsn
-	if len(w.tail) >= w.tailCap {
-		copy(w.tail, w.tail[1:])
-		w.tail = w.tail[:len(w.tail)-1]
+	if len(w.tail) < w.tailCap {
+		w.tail = append(w.tail, rec)
+	} else {
+		w.tail[w.head] = rec
+		if w.head++; w.head == w.tailCap {
+			w.head = 0
+		}
 	}
-	w.tail = append(w.tail, rec)
 	w.appended++
 	return rec.LSN
 }
@@ -137,8 +145,14 @@ func (w *WAL) Flushes() uint64 { return w.flushes }
 // Appended returns how many records were ever appended.
 func (w *WAL) Appended() uint64 { return w.appended }
 
-// Tail returns the retained in-memory records (oldest first).
-func (w *WAL) Tail() []LogRecord { return w.tail }
+// Tail returns a fresh oldest-first copy of the retained in-memory
+// records (at most the newest tailCap). The copy is the caller's to
+// modify; the records' Row slices are shared with the log.
+func (w *WAL) Tail() []LogRecord {
+	out := make([]LogRecord, 0, len(w.tail))
+	out = append(out, w.tail[w.head:]...)
+	return append(out, w.tail[:w.head]...)
+}
 
 // TakeWaitMS returns and clears the accumulated flush latency.
 func (w *WAL) TakeWaitMS() float64 {

@@ -325,3 +325,62 @@ func TestLogKindString(t *testing.T) {
 		t.Fatal("out-of-range name")
 	}
 }
+
+// The tail ring wraps several times: Tail must still return exactly the
+// newest tailCap records oldest-first, as a copy, and the wraps must not
+// disturb the log's append, flush and durable-prefix counters.
+func TestWALTailRingWraps(t *testing.T) {
+	const group = 4
+	w, err := NewWAL(RAMDisk{}, group)
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := 3*w.tailCap + 17
+	// Two-record commits (one redo record plus the commit marker), then a
+	// final marker-only commit for the odd record.
+	var commits int
+	for n := 0; n < total; commits++ {
+		var recs []LogRecord
+		if total-n >= 2 {
+			recs = []LogRecord{{Kind: LogInsert, Table: "t", Key: Value(n), Row: Row{Value(n), 0}}}
+		}
+		w.commit(uint64(commits+1), recs)
+		n += len(recs) + 1
+	}
+
+	if w.Appended() != uint64(total) || w.LSN() != uint64(total) {
+		t.Fatalf("appended=%d lsn=%d, want %d", w.Appended(), w.LSN(), total)
+	}
+	wantFlushes := commits / group
+	if w.Flushes() != uint64(wantFlushes) {
+		t.Fatalf("flushes = %d, want %d", w.Flushes(), wantFlushes)
+	}
+	// Every full-pair commit adds two records; the last flush fired at
+	// commit group*wantFlushes, all of whose commits were two-record ones.
+	if want := uint64(2 * group * wantFlushes); w.FlushedLSN() != want {
+		t.Fatalf("flushedLSN = %d, want %d", w.FlushedLSN(), want)
+	}
+
+	tail := w.Tail()
+	if len(tail) != w.tailCap {
+		t.Fatalf("tail holds %d records, want %d", len(tail), w.tailCap)
+	}
+	for i, r := range tail {
+		if want := w.LSN() - uint64(len(tail)-1-i); r.LSN != want {
+			t.Fatalf("tail[%d].LSN = %d, want %d", i, r.LSN, want)
+		}
+	}
+	if tail[len(tail)-1].Kind != LogCommit {
+		t.Fatal("tail does not end in the last commit record")
+	}
+
+	// Tail hands out a copy: scribbling on it leaves the log intact.
+	first, last := tail[0], tail[len(tail)-1]
+	for i := range tail {
+		tail[i] = LogRecord{}
+	}
+	again := w.Tail()
+	if again[0].LSN != first.LSN || again[len(again)-1].LSN != last.LSN || again[0].Kind != first.Kind {
+		t.Fatal("mutating a returned tail changed the log's tail")
+	}
+}

@@ -1,8 +1,10 @@
 package jvm
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"jasworkload/internal/mem"
@@ -366,7 +368,9 @@ func (h *Heap) coalesce(freed []span) {
 	// spans (ordered by object id, not address) need sorting. A 3-way
 	// merge then visits every span once, coalescing adjacent ones as they
 	// stream out, instead of re-sorting the whole span population.
-	sort.Slice(freed, func(i, j int) bool { return freed[i].addr < freed[j].addr })
+	// Freed spans are disjoint, so their addresses are unique and the
+	// sorted order is fully determined.
+	slices.SortFunc(freed, func(a, b span) int { return cmp.Compare(a.addr, b.addr) })
 	merged := h.mergeScratch[:0]
 	a, b, c := h.free, h.dark, freed
 	for len(a) > 0 || len(b) > 0 || len(c) > 0 {
