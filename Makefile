@@ -34,19 +34,17 @@ vet:
 race:
 	$(GO) test -race -shuffle=on ./...
 
-# The batched pipeline must be bit-equivalent to the per-instruction
-# reference, the decoupled stage pipeline bit-equivalent to the fused
-# loop at every stage-buffer size, and the core-sharded schedule
-# bit-equivalent at every shard count, queue depth, and GOMAXPROCS; run
-# those guards on their own so a failure names them directly, then once
-# more under the race detector so the concurrent schedules (stage rings
-# and the shard merge) are exercised for data races too.
+# The batched fused loop must be bit-equivalent to the per-instruction
+# reference, and the core-sharded schedule bit-equivalent at every shard
+# count, batch size, queue depth, and GOMAXPROCS (HPM stream-mux samples
+# included); run those guards on their own so a failure names them
+# directly, then once more under the race detector so the shard workers
+# and merge are exercised for data races too.
 equiv:
 	$(GO) test -run 'TestDetailStreamEquivalence' ./internal/sim/
-	$(GO) test -run 'TestPipeline' ./internal/power4/
 	$(GO) test -run 'TestSharded' ./internal/power4/
 	$(GO) test -run 'TestEngineSharded' ./internal/sim/
-	$(GO) test -race -run 'TestPipelineEquivalence|TestShardedEquivalence|TestEnginePipelined|TestEngineSharded' ./internal/power4/ ./internal/sim/
+	$(GO) test -race -run 'TestShardedEquivalence|TestEngineSharded|TestDetailStreamEquivalence|TestStreamMuxShardedParity' ./internal/power4/ ./internal/sim/ ./internal/hpm/
 
 # The workload-pack calibration gate: every registered scenario pack
 # (jas2004, dataanalytics, virtweb) re-derives its quick-scale headline
@@ -58,15 +56,15 @@ equiv:
 calibrate:
 	$(GO) run ./cmd/calibrate -check -workload all
 
-# The floor checks (JAS_BENCH_FLOOR=1) fail if the pipelined or the
-# sharded-auto detail stream is slower than the fused loop: neither
-# schedule may ever be a pessimization on the CI host. The db and jvm
+# The floor check (JAS_BENCH_FLOOR=1) fails if the sharded-auto detail
+# stream is slower than the fused loop: the concurrent schedule may never
+# be a pessimization on the CI host. The db and jvm
 # substrate microbenchmarks (WAL commit, scan after delete, heap collect)
 # run once each so they keep compiling and running.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkFig2|BenchmarkDetailStream|BenchmarkBuildReport' -benchtime 1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkWALCommit|BenchmarkScanAfterDelete|BenchmarkHeapCollect' -benchmem -benchtime 1x ./internal/db/ ./internal/jvm/
-	JAS_BENCH_FLOOR=1 $(GO) test -run 'TestPipelinedFloor|TestShardedFloor' -count 1 .
+	JAS_BENCH_FLOOR=1 $(GO) test -run 'TestShardedFloor' -count 1 .
 
 # Measured numbers for the README perf table: the stream benchmarks get
 # 5 runs of 6 iterations (min-of-5 rides out shared-host noise), the
@@ -112,9 +110,9 @@ store-smoke:
 	sh scripts/store_smoke.sh
 
 # End-to-end smoke of the core-sharded detail schedule: the quick-scale
-# report generated by jasrun -sharded and served by a real jasd -sharded
-# must both be byte-identical to the pinned golden, and /metrics must
-# surface the shard gauge and merge-stall counters.
+# report generated by jasrun and served by a real jasd must both be
+# byte-identical to the pinned golden, and /metrics must surface the shard
+# gauge and merge-stall counters.
 shard-smoke:
 	sh scripts/shard_smoke.sh
 

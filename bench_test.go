@@ -327,42 +327,28 @@ func benchStreamCore(b testing.TB) *sim.SUT {
 	return sut
 }
 
-// benchPipeline streams the recorded jas2004 trace through a detail
-// pipeline in the given configuration, with a Drain per iteration
-// modelling the engine's once-per-window barrier.
-func benchPipeline(b *testing.B, cfg power4.PipelineConfig) {
-	b.Helper()
-	benchPipelineTrace(b, benchDetailTrace(b), cfg)
-}
-
-// benchPipelineTrace is benchPipeline over an explicit trace, so packs
-// other than jas2004 can reuse the same consumption harness.
-func benchPipelineTrace(b *testing.B, trace []isa.Instr, cfg power4.PipelineConfig) {
+// benchStream streams a recorded trace through one core's batched fused
+// loop (Core.ConsumeBatch, fast paths enabled, as in production). This is
+// the per-core cost every schedule pays: the shard group's direct mode
+// dispatches straight into it, and its staged workers replicate it.
+func benchStream(b *testing.B, trace []isa.Instr) {
 	b.Helper()
 	sut := benchStreamCore(b)
-	pipe, err := power4.NewPipeline(sut.Cores, sut.Hier, cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer pipe.Close()
-	sink := pipe.Sink(0)
+	c := sut.Cores[0]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		isa.Replay(trace, sink, isa.DefaultBatchCap)
-		pipe.Drain()
+		isa.Replay(trace, c, isa.DefaultBatchCap)
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(len(trace))*float64(b.N)/b.Elapsed().Seconds(), "instr/s")
 }
 
-// BenchmarkDetailStream measures the production detail-mode hot path:
-// the recorded stream delivered through the decoupled pipeline with the
-// stage schedule auto-selected for the host — concurrent stage
-// goroutines when CPUs are available to overlap them, collapsed onto the
-// fused loop on single-CPU hosts (where any decoupling is pure
-// overhead). Fast paths enabled, as in production.
+// BenchmarkDetailStream measures the detail-mode hot path on one core:
+// the recorded jas2004 stream through the batched fused loop.
+// DetailStream/DetailStreamReference is the batching speedup; the
+// schedule ratio is DetailStreamSharded vs DetailStreamFusedMulti.
 func BenchmarkDetailStream(b *testing.B) {
-	benchPipeline(b, power4.PipelineConfig{})
+	benchStream(b, benchDetailTrace(b))
 }
 
 // benchTraceDA caches the dataanalytics-pack stream the same way
@@ -406,44 +392,12 @@ func benchDetailTraceDA(b testing.TB) []isa.Instr {
 }
 
 // BenchmarkDetailStreamDataAnalytics is BenchmarkDetailStream over the
-// dataanalytics pack's stream: same production pipeline, different
+// dataanalytics pack's stream: same batched fused loop, different
 // instruction mix (scan-dominated data references, higher allocation
 // rate), so the two legs together show how stream consumption cost
 // tracks workload character rather than a single pinned trace.
 func BenchmarkDetailStreamDataAnalytics(b *testing.B) {
-	benchPipelineTrace(b, benchDetailTraceDA(b), power4.PipelineConfig{})
-}
-
-// BenchmarkDetailStreamRings forces the concurrent three-stage schedule
-// regardless of host parallelism: the cost (or benefit) of ring handoffs
-// is DetailStreamRings vs DetailStreamFused.
-func BenchmarkDetailStreamRings(b *testing.B) {
-	benchPipeline(b, power4.PipelineConfig{Depth: power4.DefaultPipelineDepth})
-}
-
-// BenchmarkDetailStreamInline forces the decoupled stages to run
-// synchronously with no rings: DetailStreamInline vs DetailStreamFused
-// isolates the cost of stage decoupling itself (annotation traffic,
-// repeated decode) from the cost of the handoffs.
-func BenchmarkDetailStreamInline(b *testing.B) {
-	benchPipeline(b, power4.PipelineConfig{Inline: true})
-}
-
-// BenchmarkDetailStreamFused measures the single-threaded fused loop the
-// pipeline decouples — the SetPipelined(false) path: batches through
-// Core.ConsumeBatch, fast paths enabled. DetailStream/DetailStreamFused
-// is the pipelining speedup; the bench-smoke floor check requires it to
-// stay >= 1.
-func BenchmarkDetailStreamFused(b *testing.B) {
-	trace := benchDetailTrace(b)
-	sut := benchStreamCore(b)
-	c := sut.Cores[0]
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		isa.Replay(trace, c, isa.DefaultBatchCap)
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(len(trace))*float64(b.N)/b.Elapsed().Seconds(), "instr/s")
+	benchStream(b, benchDetailTraceDA(b))
 }
 
 // BenchmarkDetailStreamReference measures the pre-batching path the
@@ -530,8 +484,8 @@ func BenchmarkDetailStreamShardedForced(b *testing.B) {
 }
 
 // BenchmarkDetailStreamFusedMulti measures the fused loop over the same
-// interleaved multi-core feed the sharded benchmarks consume — the
-// SetSharded(false) reference for shard_speedup.
+// interleaved multi-core feed the sharded benchmarks consume, with no
+// shard machinery — the reference for shard_speedup.
 func BenchmarkDetailStreamFusedMulti(b *testing.B) {
 	trace := benchDetailTrace(b)
 	sut := benchStreamCore(b)
@@ -733,9 +687,9 @@ func benchDetailTraceRamp(b testing.TB) []isa.Instr {
 }
 
 // BenchmarkDetailStreamRamp is BenchmarkDetailStream over the ramp-shaped
-// stream: same production pipeline, but the request density varies 4x
+// stream: same batched fused loop, but the request density varies 4x
 // across the trace, so stream-consumption cost is measured under the
 // load shapes the generator produces rather than only uniform cadence.
 func BenchmarkDetailStreamRamp(b *testing.B) {
-	benchPipelineTrace(b, benchDetailTraceRamp(b), power4.PipelineConfig{})
+	benchStream(b, benchDetailTraceRamp(b))
 }

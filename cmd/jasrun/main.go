@@ -55,8 +55,6 @@ func main() {
 	durationMS := flag.Float64("duration-ms", 0, "override the run duration in milliseconds (0 = scale default)")
 	rampMS := flag.Float64("ramp-ms", 0, "override the ramp-up in milliseconds (0 = scale default)")
 	parallel := flag.Int("parallel", 0, "max concurrent simulations (0 = one per CPU)")
-	pipelined := flag.Bool("pipelined", true, "run the detail stream through the decoupled stage pipeline (results are bit-identical either way)")
-	sharded := flag.Bool("sharded", true, "shard the detail stream across per-simulated-core goroutines (bit-identical; auto-collapses to the fused loop on 1-CPU hosts)")
 	figures := flag.Bool("figures", false, "print every figure's full rendering, not just the report")
 	markdown := flag.Bool("markdown", false, "emit the report as a markdown table (EXPERIMENTS.md format)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -126,8 +124,6 @@ func main() {
 	if *parallel > 0 {
 		core.SetParallelism(*parallel)
 	}
-	core.SetPipelined(*pipelined)
-	core.SetSharded(*sharded)
 
 	if *arrivalFile != "" && *replayTrace != "" {
 		fmt.Fprintln(os.Stderr, "jasrun: -arrival and -replay-trace are mutually exclusive")

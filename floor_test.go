@@ -1,9 +1,10 @@
-// The bench-smoke floor check: pipelining must never be a pessimization
-// on the CI host. The pipeline auto-selects its stage schedule per host
-// (concurrent rings with CPUs to overlap stages, collapsed onto the
-// fused loop without), so the production configuration is required to
-// keep pace with the fused loop everywhere — a regression here means the
-// mode selection or a stage got slower than the loop it replaced.
+// The bench-smoke floor check: the concurrent detail schedule must never
+// be a pessimization on the CI host. The shard group auto-selects its
+// schedule per host (one worker per simulated core with CPUs to overlap
+// them, collapsed onto the fused loop without), so the production
+// configuration is required to keep pace with the fused loop everywhere —
+// a regression here means the mode selection or a stage got slower than
+// the loop it replaced.
 package jasworkload
 
 import (
@@ -15,64 +16,14 @@ import (
 	"jasworkload/internal/power4"
 )
 
-// TestPipelinedFloor fails if the auto-configured detail pipeline runs
-// the recorded stream slower than the fused loop. Gated behind
-// JAS_BENCH_FLOOR (set by `make bench-smoke`) because it is a timing
-// assertion: the two legs alternate within each round so host noise
-// lands on both, minima are compared so one contended sample cannot
+// TestShardedFloor fails if the auto-configured shard group runs the
+// interleaved multi-core stream slower than the fused loop on the running
+// host. Both legs consume the identical round-robin feed,
+// so the comparison isolates the schedule, not the feed shape. Gated
+// behind JAS_BENCH_FLOOR (set by `make bench-smoke`) because it is a
+// timing assertion: the two legs alternate within each round so host
+// noise lands on both, minima are compared so one contended sample cannot
 // fail the build, and a small tolerance absorbs timer jitter.
-func TestPipelinedFloor(t *testing.T) {
-	if os.Getenv("JAS_BENCH_FLOOR") == "" {
-		t.Skip("timing floor; run via `make bench-smoke` (JAS_BENCH_FLOOR=1)")
-	}
-	trace := benchDetailTrace(t)
-
-	fused := func() time.Duration {
-		sut := benchStreamCore(t)
-		start := time.Now()
-		isa.Replay(trace, sut.Cores[0], isa.DefaultBatchCap)
-		return time.Since(start)
-	}
-	pipelined := func() time.Duration {
-		sut := benchStreamCore(t)
-		pipe, err := power4.NewPipeline(sut.Cores, sut.Hier, power4.PipelineConfig{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer pipe.Close()
-		start := time.Now()
-		isa.Replay(trace, pipe.Sink(0), isa.DefaultBatchCap)
-		pipe.Drain()
-		return time.Since(start)
-	}
-
-	const rounds = 5
-	fusedMin, pipedMin := time.Duration(1<<62), time.Duration(1<<62)
-	for r := 0; r < rounds; r++ {
-		if d := fused(); d < fusedMin {
-			fusedMin = d
-		}
-		if d := pipelined(); d < pipedMin {
-			pipedMin = d
-		}
-	}
-	t.Logf("fused min %v, pipelined min %v over %d paired rounds (%d instr)",
-		fusedMin, pipedMin, rounds, len(trace))
-
-	// 3% tolerance: below measured paired-run jitter on an idle host,
-	// far below any real mode-selection or stage regression.
-	if limit := fusedMin + fusedMin*3/100; pipedMin > limit {
-		t.Errorf("pipelined detail stream is a pessimization: min %v vs fused min %v (floor %v)",
-			pipedMin, fusedMin, limit)
-	}
-}
-
-// TestShardedFloor is the same guarantee for the core-sharded schedule:
-// the auto-configured shard group (which collapses to the fused loop on
-// 1-CPU hosts and runs one worker per simulated core elsewhere) must
-// never run the interleaved multi-core stream slower than the fused loop
-// on the running host. Both legs consume the identical round-robin feed,
-// so the comparison isolates the schedule, not the feed shape.
 func TestShardedFloor(t *testing.T) {
 	if os.Getenv("JAS_BENCH_FLOOR") == "" {
 		t.Skip("timing floor; run via `make bench-smoke` (JAS_BENCH_FLOOR=1)")
@@ -129,6 +80,8 @@ func TestShardedFloor(t *testing.T) {
 	t.Logf("fused min %v, sharded-auto min %v over %d paired rounds (%d instr)",
 		fusedMin, shardMin, rounds, len(trace))
 
+	// 3% tolerance: below measured paired-run jitter on an idle host,
+	// far below any real mode-selection or stage regression.
 	if limit := fusedMin + fusedMin*3/100; shardMin > limit {
 		t.Errorf("sharded detail stream is a pessimization: min %v vs fused min %v (floor %v)",
 			shardMin, fusedMin, limit)

@@ -154,8 +154,6 @@ func (c RunConfig) newEngine(sut *sim.SUT, detailFrac float64) (*sim.Engine, err
 	ecfg.Seed = c.Seed
 	ecfg.DurationMS, ecfg.RampMS = c.durations()
 	ecfg.DetailFrac = detailFrac
-	ecfg.Pipelined = Pipelined()
-	ecfg.Sharded = Sharded()
 	ecfg.Arrival = c.Arrival
 	return sim.NewEngine(ecfg, sut)
 }

@@ -1,17 +1,17 @@
 package isa
 
-// This file provides the plumbing for pipeline-parallel stream
-// consumption: bounded single-producer/single-consumer rings that carry
-// batches between pipeline stages, a fixed-size pool that recycles batch
-// buffers so a steady-state pipeline allocates nothing per batch, and the
-// Annotated container that lets successive stages attach per-instruction
-// metadata without copying the instructions again.
+// This file provides the plumbing for concurrent stream consumption (the
+// core-sharded detail model): bounded single-producer/single-consumer
+// rings that carry batches between goroutines, a fixed-size pool that
+// recycles batch buffers so a steady-state schedule allocates nothing per
+// batch, and the Annotated container that lets successive stages attach
+// per-instruction metadata without copying the instructions again.
 
-// Ring is a bounded SPSC queue connecting two pipeline stages. Send
+// Ring is a bounded SPSC queue connecting two goroutines. Send
 // blocks while the ring is full (backpressure toward the producer), Recv
 // blocks while it is empty. It is implemented over a buffered channel,
 // which is exactly a bounded ring with the scheduler providing the
-// park/unpark; the capacity is the stage-decoupling depth.
+// park/unpark; the capacity is the decoupling depth.
 type Ring[T any] struct {
 	ch chan T
 }
@@ -25,7 +25,7 @@ func NewRing[T any](depth int) *Ring[T] {
 }
 
 // Send enqueues v, blocking while the ring is full. Send after Close
-// panics (a pipeline bug, not a recoverable condition).
+// panics (a plumbing bug, not a recoverable condition).
 func (r *Ring[T]) Send(v T) { r.ch <- v }
 
 // Recv dequeues the oldest item, blocking while the ring is empty.
@@ -57,14 +57,11 @@ func (r *Ring[T]) TryRecv() (T, bool) {
 // remaining items and then sees ok == false.
 func (r *Ring[T]) Close() { close(r.ch) }
 
-// Cap returns the ring's buffering depth.
-func (r *Ring[T]) Cap() int { return cap(r.ch) }
-
 // Pool is a fixed-size free list of reusable batch payloads. All items
 // are allocated up front; Get blocks until an item is recycled, which
-// bounds the pipeline's total buffer memory to the pool size. Sized to
+// bounds the schedule's total buffer memory to the pool size. Sized to
 // cover every in-flight slot (rings plus one in-hand item per stage), a
-// correctly plumbed pipeline never blocks in Get for long and never
+// correctly plumbed schedule never blocks in Get for long and never
 // allocates after construction.
 type Pool[T any] struct {
 	ch chan T
@@ -90,30 +87,15 @@ func (p *Pool[T]) Get() T { return <-p.ch }
 // happen when every Put matches an earlier Get.
 func (p *Pool[T]) Put(v T) { p.ch <- v }
 
-// Size returns the pool's capacity.
-func (p *Pool[T]) Size() int { return cap(p.ch) }
-
 // Annotated pairs a copied batch of instructions with one annotation
-// value per instruction. Pipeline stages communicate through it: an
+// value per instruction. Stages communicate through it: an
 // upstream stage appends instructions and fills in what it computed, a
 // downstream stage reads both slices in order. Ins and Ann share
 // indices; SyncAnn resizes Ann to match Ins.
 type Annotated[A any] struct {
-	Core int // consuming core, for multi-core pipelines
+	Core int // consuming core, for multi-core schedules
 	Ins  []Instr
 	Ann  []A
-}
-
-// NewAnnotated returns a container with capacity for cap instructions
-// in both slices (so steady-state reuse never reallocates).
-func NewAnnotated[A any](capacity int) *Annotated[A] {
-	if capacity <= 0 {
-		capacity = DefaultBatchCap
-	}
-	return &Annotated[A]{
-		Ins: make([]Instr, 0, capacity),
-		Ann: make([]A, 0, capacity),
-	}
 }
 
 // Reset empties the container for reuse, keeping capacity.
@@ -132,6 +114,3 @@ func (a *Annotated[A]) SyncAnn() {
 	}
 	a.Ann = a.Ann[:len(a.Ins)]
 }
-
-// Len returns the number of buffered instructions.
-func (a *Annotated[A]) Len() int { return len(a.Ins) }

@@ -43,8 +43,8 @@ import (
 //     so the merge's total order is the fused loop's total order.
 //  3. Results are back-annotated into the batch (load/fetch sources,
 //     STCX success), and the accounting stage replays the fused loop's
-//     exact charge sequence per core from those annotations, reusing the
-//     pipeline's acctState/stageAccount machinery verbatim.
+//     exact charge sequence per core from those annotations, through
+//     acctState/stageAccount (stages.go).
 //
 // Queues only reorder WHEN work executes, never WHAT it computes, so the
 // counters are bit-equal by construction; TestShardedEquivalence sweeps
@@ -101,12 +101,11 @@ type ShardConfig struct {
 	Depth int
 }
 
-// DefaultShardDepth is the default per-link queue depth in batches. It is
-// deeper than the stage pipeline's ring depth because the merge consumes
-// worker queues in global feed order: slack on the not-next queues is
-// what lets the other workers keep running while the merge waits for the
-// ordered head, so shallow queues convert ordinary skew straight into
-// merge stalls.
+// DefaultShardDepth is the default per-link queue depth in batches. The
+// merge consumes worker queues in global feed order: slack on the
+// not-next queues is what lets the other workers keep running while the
+// merge waits for the ordered head, so shallow queues convert ordinary
+// skew straight into merge stalls.
 const DefaultShardDepth = 8
 
 // shardStatSlots bounds the per-shard-index merge-stall counters exported
@@ -147,8 +146,9 @@ func AutoShards(cores int) int {
 // Hierarchy, sharded across per-core worker goroutines with a
 // deterministic coherence merge. Feed instructions through the per-core
 // sinks from Sink; call Drain to publish counters at a consistent point;
-// Close stops the goroutines. Like the stage pipeline, the group is the
-// sole consumer of its cores while attached.
+// Close stops the goroutines. The group is the sole consumer of its cores
+// while attached: feeding a member core directly between Drain and Close
+// would race with the workers and desynchronize the accounting copy.
 type ShardGroup struct {
 	cores []*Core
 	hier  *Hierarchy
@@ -507,9 +507,11 @@ func (g *ShardGroup) accountant(w int) {
 	}
 }
 
-// stageMemoryShard is stageMemory with the Hierarchy calls deferred:
-// every core-private structure is touched in the fused loop's order, and
-// every shared-state call is recorded — with operands computed from
+// stageMemoryShard runs the translation / cache half of the model over a
+// batch with the Hierarchy calls deferred: every core-private structure
+// (L1s, MMU, prefetcher, translation memo, fast-path registers,
+// reservation) is touched in the fused loop's order, and every
+// shared-state call is recorded — with operands computed from
 // core-private state only — for the merge to apply in global order.
 func (c *Core) stageMemoryShard(ins []isa.Instr, ann []annot, ev *[]cohEvent) {
 	for i := range ins {
@@ -546,7 +548,8 @@ func (c *Core) stageMemoryShard(ins []isa.Instr, ann []annot, ev *[]cohEvent) {
 	}
 }
 
-// shardFetch is memFetch with FetchInst deferred.
+// shardFetch is fetch's structural half with FetchInst deferred: it
+// records outcomes instead of charging for them.
 func (c *Core) shardFetch(i int, in *isa.Instr, an *annot, ev *[]cohEvent) {
 	tr, ok := c.translate(in.PC)
 	if !ok {
@@ -581,7 +584,7 @@ func (c *Core) shardFetch(i int, in *isa.Instr, an *annot, ev *[]cohEvent) {
 	c.l1i.Insert(tr.RA)
 }
 
-// shardLoad is memLoad with PrefetchFill and Load deferred.
+// shardLoad is load's structural half with PrefetchFill and Load deferred.
 func (c *Core) shardLoad(i int, in *isa.Instr, an *annot, ev *[]cohEvent) {
 	if c.fastL && !c.noFast && in.EA>>7 == c.lastLEA>>7 && c.fastD && in.EA>>12 == c.lastDEA>>12 {
 		an.flags |= aFastL
@@ -633,7 +636,7 @@ func (c *Core) shardLoad(i int, in *isa.Instr, an *annot, ev *[]cohEvent) {
 	}
 }
 
-// shardStore is memStore with Store deferred.
+// shardStore is store's structural half with Store deferred.
 func (c *Core) shardStore(in *isa.Instr, an *annot, ev *[]cohEvent) {
 	tr, ok := c.memTranslateData(in, an)
 	if !ok {
@@ -645,9 +648,10 @@ func (c *Core) shardStore(in *isa.Instr, an *annot, ev *[]cohEvent) {
 	*ev = append(*ev, cohEvent{ra: tr.RA, kind: evStore})
 }
 
-// shardDrainPrefetch is memDrainPrefetch with the L2-side fills deferred;
-// the L1 fills are core-private and happen here, preserving their order
-// relative to the L1 lookups around them.
+// shardDrainPrefetch is drainPrefetch's structural half with the L2-side
+// fills deferred; the L1 fills are core-private and happen here,
+// preserving their order relative to the L1 lookups around them. The
+// counter adds are left to the accounting stage via the annotation.
 func (c *Core) shardDrainPrefetch(ra uint64, an *annot, ev *[]cohEvent) {
 	l1, l2, _ := c.pref.Take()
 	an.prefL1, an.prefL2 = uint8(l1), uint8(l2)

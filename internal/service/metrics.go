@@ -177,7 +177,7 @@ func (m *Metrics) WriteTo(w io.Writer, queueDepth, queueCap, residentJobs, resid
 		gauge("jasd_store_bytes", "Bytes resident in the persistent store directory.", float64(ps.Bytes))
 	}
 
-	gauge("jasd_detail_shards", "Shard workers a detail run started now would use (0 = sharding off or auto-collapsed to the fused loop).", float64(core.DetailShards()))
+	gauge("jasd_detail_shards", "Shard workers a detail run started now would use (0 = auto-collapsed to the fused loop).", float64(core.DetailShards()))
 	// One series per shard index that ever stalled the merge, plus every
 	// index a current run would use — so the series set is stable across
 	// scrapes of an active daemon but quiet indices never pollute it.

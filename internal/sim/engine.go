@@ -29,20 +29,6 @@ type EngineConfig struct {
 	// sampled-fidelity knob described in DESIGN.md.
 	DetailFrac float64
 
-	// Pipelined runs the detail stream through the decoupled three-stage
-	// power4.Pipeline instead of the fused per-core loop. Counters are
-	// bit-identical either way (the pipeline's ordering invariant); only
-	// wall-clock time differs. Ignored when DetailFrac is 0.
-	Pipelined bool
-
-	// Sharded runs the detail stream through the core-sharded
-	// power4.ShardGroup — one worker goroutine per simulated core with a
-	// deterministic coherence merge. Counters are bit-identical to the
-	// fused loop (the merge's ordering invariant); only wall-clock time
-	// differs. Takes precedence over Pipelined; auto-collapses to the
-	// fused loop on single-CPU hosts. Ignored when DetailFrac is 0.
-	Sharded bool
-
 	WarmJIT bool // pre-compile the hot profile before t=0 (the paper's long warmup)
 	Seed    int64
 
@@ -62,8 +48,6 @@ func DefaultEngineConfig() EngineConfig {
 		InstrScale: 256,
 		NominalCPI: 3.0,
 		DetailFrac: 0,
-		Pipelined:  true,
-		Sharded:    true,
 		WarmJIT:    true,
 		Seed:       1,
 	}
@@ -109,8 +93,7 @@ type Engine struct {
 	cpiEst     float64
 
 	finished    bool               // set once Run completes; guards against re-running
-	pipe        *power4.Pipeline   // decoupled detail pipeline (nil = fused loop)
-	shard       *power4.ShardGroup // core-sharded detail group (nil = pipe or fused)
+	shard       *power4.ShardGroup // detail-mode stream consumer while RunContext runs
 	ctx         context.Context    // cancellation for the window loop (nil = never)
 	lastCtr     counterSnapshot
 	queue       []queuedReq // arrivals not yet served (capacity carry-over)
@@ -253,14 +236,11 @@ func (e *Engine) RunContext(ctx context.Context) ([]WindowStats, error) {
 	}
 	e.ctx = ctx
 	// Detail mode runs the instruction stream through the core-sharded
-	// group (preferred) or the decoupled pipeline for the whole duration;
-	// either is drained at every window barrier (Step) and torn down on
-	// every exit path, so an aborted run leaks no goroutines. The shard
-	// group's auto mode collapses to the fused loop on 1-CPU hosts, in
-	// which case it costs nothing and the Pipelined knob is moot too (a
-	// host that can't overlap shards can't overlap stages either).
-	switch {
-	case e.cfg.Sharded && e.cfg.DetailFrac > 0 && e.shard == nil:
+	// group for the whole duration; it is drained at every window barrier
+	// (Step) and torn down on every exit path, so an aborted run leaks no
+	// goroutines. The group's auto mode collapses to direct dispatch into
+	// the fused loop on 1-CPU hosts, where sharding could only add cost.
+	if e.cfg.DetailFrac > 0 && e.shard == nil {
 		sg, err := power4.NewShardGroup(e.sut.Cores, e.sut.Hier, power4.ShardConfig{})
 		if err != nil {
 			return e.windows, err
@@ -269,16 +249,6 @@ func (e *Engine) RunContext(ctx context.Context) ([]WindowStats, error) {
 		defer func() {
 			e.shard.Close()
 			e.shard = nil
-		}()
-	case e.cfg.Pipelined && e.cfg.DetailFrac > 0 && e.pipe == nil:
-		pipe, err := power4.NewPipeline(e.sut.Cores, e.sut.Hier, power4.PipelineConfig{})
-		if err != nil {
-			return e.windows, err
-		}
-		e.pipe = pipe
-		defer func() {
-			e.pipe.Close()
-			e.pipe = nil
 		}()
 	}
 	nWindows := int(e.cfg.DurationMS / e.cfg.WindowMS)
@@ -377,14 +347,12 @@ func (e *Engine) Step() error {
 
 	// Measured CPI feedback (detail mode).
 	if e.cfg.DetailFrac > 0 {
-		// Window barrier: the shard group or pipeline publishes every
-		// in-flight instruction's counters before the read below, so the
-		// CPI the capacity feedback sees is exactly what the fused loop
-		// would have accumulated by this point in the stream.
+		// Window barrier: the shard group publishes every in-flight
+		// instruction's counters before the read below, so the CPI the
+		// capacity feedback sees is exactly what the fused loop would have
+		// accumulated by this point in the stream.
 		if e.shard != nil {
 			e.shard.Drain()
-		} else if e.pipe != nil {
-			e.pipe.Drain()
 		}
 		ctr := e.sut.AggregateCounters()
 		dc := ctr.Get(power4.EvCycles) - e.lastCtr.cycles
@@ -545,14 +513,11 @@ func (e *Engine) emitGCTrace(pauseMS float64) {
 }
 
 // detailSink returns the instruction sink for one core: the shard
-// group's or pipeline's per-core front end while one is attached, the
-// core itself otherwise.
+// group's per-core front end while one is attached, the core itself
+// otherwise (Step driven directly, outside RunContext).
 func (e *Engine) detailSink(core int) isa.Sink {
 	if e.shard != nil {
 		return e.shard.Sink(core)
-	}
-	if e.pipe != nil {
-		return e.pipe.Sink(core)
 	}
 	return e.sut.Cores[core]
 }

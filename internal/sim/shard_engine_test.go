@@ -8,73 +8,28 @@ import (
 	"jasworkload/internal/power4"
 )
 
-// TestEngineShardedEquivalence: a full detail-mode engine run must
-// produce byte-identical windows and counters whether the stream runs
-// through the core-sharded group or the fused loop. Forcing GOMAXPROCS=2
-// for the sharded leg keeps the auto mode from collapsing to the fused
-// loop on 1-CPU CI hosts — the comparison must exercise the concurrent
-// merge everywhere.
-func TestEngineShardedEquivalence(t *testing.T) {
-	run := func(sharded bool) ([]WindowStats, []power4.Counters) {
-		if sharded {
-			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
-		}
-		sut := smallSUT(t, 8)
-		ecfg := DefaultEngineConfig()
-		ecfg.DurationMS = 12_000
-		ecfg.RampMS = 2_000
-		ecfg.DetailFrac = 0.02
-		ecfg.Pipelined = false
-		ecfg.Sharded = sharded
-		e, err := NewEngine(ecfg, sut)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := e.Run(); err != nil {
-			t.Fatal(err)
-		}
-		perCore := make([]power4.Counters, len(sut.Cores))
-		for i, c := range sut.Cores {
-			perCore[i] = c.Counters()
-		}
-		return e.Windows(), perCore
-	}
-
-	fusedWin, fusedCtr := run(false)
-	shardWin, shardCtr := run(true)
-
-	if !reflect.DeepEqual(fusedWin, shardWin) {
-		for i := range fusedWin {
-			if i < len(shardWin) && !reflect.DeepEqual(fusedWin[i], shardWin[i]) {
-				t.Fatalf("window %d diverged:\nfused   %+v\nsharded %+v", i, fusedWin[i], shardWin[i])
-			}
-		}
-		t.Fatalf("window counts diverged: fused %d, sharded %d", len(fusedWin), len(shardWin))
-	}
-	for i := range fusedCtr {
-		if fusedCtr[i] != shardCtr[i] {
-			for _, ev := range power4.AllEvents() {
-				if fusedCtr[i].Get(ev) != shardCtr[i].Get(ev) {
-					t.Errorf("core %d %v: fused %d, sharded %d",
-						i, ev, fusedCtr[i].Get(ev), shardCtr[i].Get(ev))
-				}
-			}
-		}
-	}
-	var total power4.Counters
-	for i := range fusedCtr {
-		total.AddAll(&fusedCtr[i])
-	}
-	if total.Get(power4.EvInstCompleted) == 0 {
-		t.Fatal("detail run completed no instructions; the equivalence is hollow")
-	}
-}
-
-// TestEngineShardedDeterminism: the sharded engine's windows and HPM
-// counters must be byte-identical at every GOMAXPROCS — the host's
-// parallelism may change the shard count and every queue-timing
-// interleaving, but never a result.
+// TestEngineShardedDeterminism: the engine's windows and HPM counters
+// must be byte-identical at every GOMAXPROCS — the host's parallelism
+// may change the shard count and every queue-timing interleaving, but
+// never a result. At GOMAXPROCS=1 the shard group collapses to direct
+// dispatch into the fused loop, so the reference leg is the fused
+// schedule and the others run the concurrent merge. This exercises the
+// window drain barrier: the per-window CPI read feeds the capacity
+// model, so a counter that lagged the barrier by even one batch would
+// change scheduling and cascade into different windows.
 func TestEngineShardedDeterminism(t *testing.T) {
+	func() {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		if n := power4.AutoShards(4); n != 0 {
+			t.Fatalf("AutoShards(4) at GOMAXPROCS=1 = %d, want 0 (fused)", n)
+		}
+	}()
+	func() {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+		if n := power4.AutoShards(4); n <= 0 {
+			t.Fatalf("AutoShards(4) at GOMAXPROCS=2 = %d, want > 0 (sharded)", n)
+		}
+	}()
 	run := func(procs int) ([]WindowStats, []power4.Counters) {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		sut := smallSUT(t, 8)
@@ -82,7 +37,6 @@ func TestEngineShardedDeterminism(t *testing.T) {
 		ecfg.DurationMS = 10_000
 		ecfg.RampMS = 2_000
 		ecfg.DetailFrac = 0.02
-		ecfg.Sharded = true
 		e, err := NewEngine(ecfg, sut)
 		if err != nil {
 			t.Fatal(err)
@@ -98,6 +52,14 @@ func TestEngineShardedDeterminism(t *testing.T) {
 	}
 
 	refWin, refCtr := run(1) // GOMAXPROCS=1: auto mode collapses to fused
+	// The run must actually have exercised detail mode.
+	var total power4.Counters
+	for i := range refCtr {
+		total.AddAll(&refCtr[i])
+	}
+	if total.Get(power4.EvInstCompleted) == 0 {
+		t.Fatal("detail run completed no instructions; the equivalence is hollow")
+	}
 	for _, procs := range []int{2, 3, 8} {
 		win, ctr := run(procs)
 		if !reflect.DeepEqual(refWin, win) {
@@ -106,5 +68,19 @@ func TestEngineShardedDeterminism(t *testing.T) {
 		if !reflect.DeepEqual(refCtr, ctr) {
 			t.Fatalf("GOMAXPROCS=%d: counters diverged from GOMAXPROCS=1", procs)
 		}
+	}
+}
+
+// TestEngineShardTeardown: an engine abandoned after RunContext must
+// leave no shard group attached — Step called on a finished engine or a
+// fresh engine must keep working against the fused path.
+func TestEngineShardTeardown(t *testing.T) {
+	sut := smallSUT(t, 8)
+	e := shortEngine(t, sut, 3_000, 1_000, 0.02)
+	if _, err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if e.shard != nil {
+		t.Fatal("shard group survived RunContext")
 	}
 }

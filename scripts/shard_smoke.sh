@@ -1,8 +1,9 @@
 #!/bin/sh
 # Shard smoke test (make shard-smoke / make ci): the core-sharded detail
-# schedule must be invisible in every result. jasrun -sharded must emit a
-# quick-scale markdown report byte-identical to the pinned golden, a real
-# jasd started with -sharded must serve the same bytes, and /metrics must
+# schedule (the only detail schedule, always on) must be invisible in
+# every result. jasrun must emit a quick-scale markdown report
+# byte-identical to the pinned golden, a real jasd must serve the same
+# bytes, and /metrics must
 # surface the shard gauge and the per-shard merge-stall counters. On
 # multi-core hosts this exercises the concurrent merge end to end; on
 # 1-vCPU hosts the auto mode collapses to the fused loop and the smoke
@@ -20,16 +21,16 @@ cleanup() {
 trap cleanup EXIT INT TERM
 
 # Standalone: the sharded report must match the golden byte for byte.
-$GO run ./cmd/jasrun -sharded -scale quick -markdown >"$tmp/report_cli.md"
+$GO run ./cmd/jasrun -scale quick -markdown >"$tmp/report_cli.md"
 if ! diff -u testdata/golden_report_quick.md "$tmp/report_cli.md"; then
-    echo "shard-smoke: jasrun -sharded report drifted from golden" >&2
+    echo "shard-smoke: jasrun report drifted from golden" >&2
     exit 1
 fi
 
 $GO build -o "$tmp/jasd" ./cmd/jasd
 $GO build -o "$tmp/jasctl" ./cmd/jasctl
 
-"$tmp/jasd" -addr 127.0.0.1:0 -addrfile "$tmp/addr" -workers 2 -sharded 2>"$tmp/jasd.log" &
+"$tmp/jasd" -addr 127.0.0.1:0 -addrfile "$tmp/addr" -workers 2 2>"$tmp/jasd.log" &
 pid=$!
 
 i=0
