@@ -35,16 +35,17 @@ race:
 	$(GO) test -race -shuffle=on ./...
 
 # The batched fused loop must be bit-equivalent to the per-instruction
-# reference, and the core-sharded schedule bit-equivalent at every shard
-# count, batch size, queue depth, and GOMAXPROCS (HPM stream-mux samples
-# included); run those guards on their own so a failure names them
+# reference (fast paths off), the coherence directory and the caches must
+# match their naive differential models, and the core-sharded schedule
+# must be bit-equivalent at every shard count, batch size, queue depth,
+# and GOMAXPROCS; run those guards on their own so a failure names them
 # directly, then once more under the race detector so the shard workers
 # and merge are exercised for data races too.
 equiv:
-	$(GO) test -run 'TestDetailStreamEquivalence' ./internal/sim/
+	$(GO) test -run 'TestDetailStreamEquivalence|TestDirTableMatchesMap|TestCacheInsertMatchesNaive' ./internal/sim/ ./internal/power4/
 	$(GO) test -run 'TestSharded' ./internal/power4/
 	$(GO) test -run 'TestEngineSharded' ./internal/sim/
-	$(GO) test -race -run 'TestShardedEquivalence|TestEngineSharded|TestDetailStreamEquivalence|TestStreamMuxShardedParity' ./internal/power4/ ./internal/sim/ ./internal/hpm/
+	$(GO) test -race -run 'TestShardedEquivalence|TestEngineSharded|TestDetailStreamEquivalence' ./internal/power4/ ./internal/sim/
 
 # The workload-pack calibration gate: every registered scenario pack
 # (jas2004, dataanalytics, virtweb) re-derives its quick-scale headline

@@ -344,8 +344,7 @@ func benchStream(b *testing.B, trace []isa.Instr) {
 }
 
 // BenchmarkDetailStream measures the detail-mode hot path on one core:
-// the recorded jas2004 stream through the batched fused loop.
-// DetailStream/DetailStreamReference is the batching speedup; the
+// the recorded jas2004 stream through the batched fused loop. The
 // schedule ratio is DetailStreamSharded vs DetailStreamFusedMulti.
 func BenchmarkDetailStream(b *testing.B) {
 	benchStream(b, benchDetailTrace(b))
@@ -398,27 +397,6 @@ func benchDetailTraceDA(b testing.TB) []isa.Instr {
 // tracks workload character rather than a single pinned trace.
 func BenchmarkDetailStreamDataAnalytics(b *testing.B) {
 	benchStream(b, benchDetailTraceDA(b))
-}
-
-// BenchmarkDetailStreamReference measures the pre-batching path the
-// tentpole replaced: one virtual Consume call per instruction with the
-// fast paths disabled. The ratio DetailStream/DetailStreamReference is
-// the headline speedup.
-func BenchmarkDetailStreamReference(b *testing.B) {
-	trace := benchDetailTrace(b)
-	sut := benchStreamCore(b)
-	c := sut.Cores[0]
-	c.SetFastPaths(false)
-	sut.Hier.SetFastPaths(false)
-	var sink isa.Sink = c // dispatch through the interface, as before the change
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j := range trace {
-			sink.Consume(&trace[j])
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(len(trace))*float64(b.N)/b.Elapsed().Seconds(), "instr/s")
 }
 
 // replayInterleaved delivers the trace in fixed-size chunks round-robin

@@ -185,7 +185,6 @@ func main() {
 		Protocol   string   `json:"protocol"`
 		Baseline   string   `json:"baseline,omitempty"`
 		Benchmarks []*entry `json:"benchmarks"`
-		Speedup    float64  `json:"detail_stream_speedup,omitempty"`
 		SweepWin   float64  `json:"sweep_grid_speedup,omitempty"`
 		ShardWin   float64  `json:"shard_speedup,omitempty"`
 	}{
@@ -199,12 +198,6 @@ func main() {
 		Protocol:   "repeated runs per benchmark; cite min (least-contended sample) on noisy shared hosts; speedup_vs_baseline = baseline min ns/op over this min ns/op",
 		Baseline:   *baseline,
 		Benchmarks: entries,
-	}
-	// Headline ratio: reference (per-instruction, fast paths off) over
-	// batched, both taken at their minimum ns/op.
-	if b, r := byName["BenchmarkDetailStream"], byName["BenchmarkDetailStreamReference"]; b != nil && r != nil &&
-		b.NsPerOp != nil && r.NsPerOp != nil && b.NsPerOp.Min > 0 {
-		summary.Speedup = r.NsPerOp.Min / b.NsPerOp.Min
 	}
 	// Tentpole ratio: the same what-if grid with split-key reuse off over
 	// on — how much wall clock the shared request-level runs save.

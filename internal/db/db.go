@@ -58,9 +58,6 @@ type Table struct {
 // Name returns the table name.
 func (t *Table) Name() string { return t.name }
 
-// Cols returns the column count.
-func (t *Table) Cols() int { return t.cols }
-
 // Rows returns the number of live rows.
 func (t *Table) Rows() int { return len(t.pk) }
 

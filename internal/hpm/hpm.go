@@ -138,17 +138,6 @@ func (m *Monitor) Group() Group { return m.group }
 // WindowMS returns the sampling window length.
 func (m *Monitor) WindowMS() int { return m.windowMS }
 
-// SetGroup switches the active group. Like reprogramming the physical
-// counters, this discards the in-flight window baseline.
-func (m *Monitor) SetGroup(g Group) error {
-	if err := g.Validate(); err != nil {
-		return err
-	}
-	m.group = g
-	m.prev = m.src.Counters()
-	return nil
-}
-
 // Tick closes the current window: it reads the source, records the active
 // group's deltas, and starts the next window.
 func (m *Monitor) Tick() Sample {

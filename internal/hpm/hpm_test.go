@@ -112,25 +112,6 @@ func TestMonitorGroupExclusivity(t *testing.T) {
 	}
 }
 
-func TestMonitorSetGroupRebaselines(t *testing.T) {
-	src := &fakeSource{}
-	m, _ := NewMonitor(src, cpiGroup(), 100)
-	src.bump(power4.EvBrCond, 500)
-	branch, _ := GroupByName(StandardGroups(), "branch")
-	if err := m.SetGroup(branch); err != nil {
-		t.Fatal(err)
-	}
-	src.bump(power4.EvBrCond, 7)
-	s := m.Tick()
-	// The 500 pre-switch branches must not appear.
-	if s.Values[power4.EvBrCond] != 7 {
-		t.Fatalf("post-switch branches = %d, want 7", s.Values[power4.EvBrCond])
-	}
-	if err := m.SetGroup(Group{}); err == nil {
-		t.Fatal("bad group accepted on switch")
-	}
-}
-
 func TestMonitorSeriesAndCPI(t *testing.T) {
 	src := &fakeSource{}
 	m, _ := NewMonitor(src, cpiGroup(), 100)

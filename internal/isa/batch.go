@@ -78,9 +78,6 @@ func (b *Batcher) Flush() {
 	b.buf = b.buf[:0]
 }
 
-// Pending returns the number of buffered, not-yet-flushed instructions.
-func (b *Batcher) Pending() int { return len(b.buf) }
-
 // ConsumeBatch implements BatchSink for CountingSink: class counts
 // commute, so the whole batch folds into the counters in one pass.
 func (c *CountingSink) ConsumeBatch(b Batch) {

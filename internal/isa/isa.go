@@ -81,7 +81,7 @@ type Instr struct {
 }
 
 // Sink consumes a stream of instructions. The processor core implements
-// Sink; trace recorders and multiplexers do too.
+// Sink; trace recorders and tees do too.
 type Sink interface {
 	Consume(ins *Instr)
 }

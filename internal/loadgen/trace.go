@@ -2,7 +2,6 @@ package loadgen
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -99,11 +98,6 @@ func ReadTrace(r io.Reader) (*TraceSpec, error) {
 		return nil, err
 	}
 	return t, nil
-}
-
-// ParseTrace is ReadTrace over a byte slice.
-func ParseTrace(data []byte) (*TraceSpec, error) {
-	return ReadTrace(bytes.NewReader(data))
 }
 
 // Spec wraps the trace as a replayable arrival spec, the form jasd and

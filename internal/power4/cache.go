@@ -63,15 +63,7 @@ type Cache struct {
 
 	accesses uint64
 	misses   uint64
-
-	ref bool // reference mode: run the pre-change multi-pass Insert
 }
-
-// SetReference switches the cache between the optimised one-pass Insert
-// and the pre-change multi-pass implementation. Results are identical;
-// reference mode exists so SetFastPaths(false) measurements reproduce the
-// pre-change per-access cost, not just its behaviour.
-func (c *Cache) SetReference(ref bool) { c.ref = ref }
 
 // NewCache builds a cache from cfg.
 func NewCache(cfg CacheConfig) (*Cache, error) {
@@ -114,13 +106,10 @@ func (c *Cache) Lookup(addr uint64) bool {
 	set := line & (c.sets - 1)
 	base := int(set) * c.cfg.Ways
 	// Probe the set's most recent hit way first. This changes only the
-	// probe order, never the outcome or the recency state, so results
-	// are identical with the hint disabled (reference mode).
-	if !c.ref {
-		if i := base + int(c.mru[set]); c.valid[i] && c.tags[i] == line {
-			c.lastUse[i] = c.tick
-			return true
-		}
+	// probe order, never the outcome or the recency state.
+	if i := base + int(c.mru[set]); c.valid[i] && c.tags[i] == line {
+		c.lastUse[i] = c.tick
+		return true
 	}
 	for w := 0; w < c.cfg.Ways; w++ {
 		i := base + w
@@ -151,9 +140,6 @@ func (c *Cache) Probe(addr uint64) bool {
 // Insert fills the line containing addr, evicting per policy. It returns
 // the evicted line address and whether an eviction happened.
 func (c *Cache) Insert(addr uint64) (evicted uint64, wasValid bool) {
-	if c.ref {
-		return c.insertRef(addr)
-	}
 	line := addr >> c.lineShift
 	set := line & (c.sets - 1)
 	base := int(set) * c.cfg.Ways
@@ -200,56 +186,6 @@ func (c *Cache) Insert(addr uint64) (evicted uint64, wasValid bool) {
 	c.tags[victim] = line
 	c.lastUse[victim] = c.tick
 	c.mru[set] = uint32(victim - base)
-	return ev, true
-}
-
-// insertRef is the pre-change Insert: separate existence, free-way and
-// victim scans. Kept verbatim as the reference-mode implementation.
-func (c *Cache) insertRef(addr uint64) (evicted uint64, wasValid bool) {
-	line := addr >> c.lineShift
-	set := line & (c.sets - 1)
-	base := int(set) * c.cfg.Ways
-	// Already present? Refresh and done.
-	for w := 0; w < c.cfg.Ways; w++ {
-		i := base + w
-		if c.valid[i] && c.tags[i] == line {
-			c.lastUse[i] = c.tick
-			return 0, false
-		}
-	}
-	// Free way?
-	for w := 0; w < c.cfg.Ways; w++ {
-		i := base + w
-		if !c.valid[i] {
-			c.valid[i] = true
-			c.tags[i] = line
-			c.lastUse[i] = c.tick
-			if c.cfg.Repl == ReplFIFO {
-				c.fifoPtr[set] = uint32((w + 1) % c.cfg.Ways)
-			}
-			return 0, false
-		}
-	}
-	// Victim selection.
-	var victim int
-	switch c.cfg.Repl {
-	case ReplFIFO:
-		victim = int(c.fifoPtr[set])
-		c.fifoPtr[set] = uint32((victim + 1) % c.cfg.Ways)
-	default: // LRU
-		victim = 0
-		oldest := c.lastUse[base]
-		for w := 1; w < c.cfg.Ways; w++ {
-			if c.lastUse[base+w] < oldest {
-				oldest = c.lastUse[base+w]
-				victim = w
-			}
-		}
-	}
-	i := base + victim
-	ev := c.tags[i] << c.lineShift
-	c.tags[i] = line
-	c.lastUse[i] = c.tick
 	return ev, true
 }
 

@@ -218,3 +218,166 @@ func TestLineAddr(t *testing.T) {
 		t.Fatalf("LineAddr = %#x", c.LineAddr(0x12345))
 	}
 }
+
+// naiveCache is an independent model of Cache: the straightforward
+// three-scan insert (existing copy, then a free way, then the victim by
+// policy) and linear probes with no MRU hint. It is the oracle for
+// TestCacheInsertMatchesNaive.
+type naiveCache struct {
+	sets, ways int
+	shift      uint
+	fifo       bool
+	tags       []uint64
+	valid      []bool
+	lastUse    []uint64
+	fifoPtr    []int
+	tick       uint64
+}
+
+func newNaiveCache(cfg CacheConfig) *naiveCache {
+	lines := int(cfg.SizeBytes / cfg.LineBytes)
+	var shift uint
+	for l := cfg.LineBytes; l > 1; l >>= 1 {
+		shift++
+	}
+	return &naiveCache{
+		sets: lines / cfg.Ways, ways: cfg.Ways, shift: shift, fifo: cfg.Repl == ReplFIFO,
+		tags: make([]uint64, lines), valid: make([]bool, lines), lastUse: make([]uint64, lines),
+		fifoPtr: make([]int, lines/cfg.Ways),
+	}
+}
+
+// find returns the set's base index and the index holding addr's line,
+// or -1.
+func (n *naiveCache) find(addr uint64) (line uint64, set, base, at int) {
+	line = addr >> n.shift
+	set = int(line % uint64(n.sets))
+	base = set * n.ways
+	for w := 0; w < n.ways; w++ {
+		if n.valid[base+w] && n.tags[base+w] == line {
+			return line, set, base, base + w
+		}
+	}
+	return line, set, base, -1
+}
+
+func (n *naiveCache) lookup(addr uint64) bool {
+	n.tick++
+	_, _, _, at := n.find(addr)
+	if at >= 0 {
+		n.lastUse[at] = n.tick
+	}
+	return at >= 0
+}
+
+func (n *naiveCache) probe(addr uint64) bool {
+	_, _, _, at := n.find(addr)
+	return at >= 0
+}
+
+func (n *naiveCache) invalidate(addr uint64) bool {
+	_, _, _, at := n.find(addr)
+	if at >= 0 {
+		n.valid[at] = false
+	}
+	return at >= 0
+}
+
+func (n *naiveCache) insert(addr uint64) (uint64, bool) {
+	line, set, base, at := n.find(addr)
+	if at >= 0 {
+		n.lastUse[at] = n.tick
+		return 0, false
+	}
+	for w := 0; w < n.ways; w++ {
+		if i := base + w; !n.valid[i] {
+			n.valid[i], n.tags[i], n.lastUse[i] = true, line, n.tick
+			if n.fifo {
+				n.fifoPtr[set] = (w + 1) % n.ways
+			}
+			return 0, false
+		}
+	}
+	victim := 0
+	if n.fifo {
+		victim = n.fifoPtr[set]
+		n.fifoPtr[set] = (victim + 1) % n.ways
+	} else {
+		for w := 1; w < n.ways; w++ {
+			if n.lastUse[base+w] < n.lastUse[base+victim] {
+				victim = w
+			}
+		}
+	}
+	i := base + victim
+	ev := n.tags[i] << n.shift
+	n.tags[i], n.lastUse[i] = line, n.tick
+	return ev, true
+}
+
+func (n *naiveCache) resident() int {
+	k := 0
+	for _, v := range n.valid {
+		if v {
+			k++
+		}
+	}
+	return k
+}
+
+// TestCacheInsertMatchesNaive drives Cache and naiveCache with the same
+// random Lookup/Insert/Invalidate/Probe stream on LRU and FIFO caches of
+// 1, 2, 4 and 8 ways, comparing every hit, every returned eviction and
+// the resident line count. The address range is three times the
+// capacity, so sets fill, evict and refill throughout.
+func TestCacheInsertMatchesNaive(t *testing.T) {
+	for _, repl := range []ReplacementPolicy{ReplLRU, ReplFIFO} {
+		for _, ways := range []int{1, 2, 4, 8} {
+			const sets, lineBytes = 16, 128
+			cfg := CacheConfig{Name: "diff", SizeBytes: sets * uint64(ways) * lineBytes,
+				Ways: ways, LineBytes: lineBytes, Repl: repl}
+			c := mustCache(t, cfg)
+			n := newNaiveCache(cfg)
+			rng := rand.New(rand.NewSource(int64(ways)*10 + int64(repl)))
+			span := int64(3 * sets * ways)
+			var hits, evictions int
+			for op := 0; op < 50_000; op++ {
+				addr := uint64(rng.Int63n(span))*lineBytes + uint64(rng.Intn(lineBytes))
+				switch r := rng.Intn(20); {
+				case r < 7:
+					got, want := c.Lookup(addr), n.lookup(addr)
+					if got != want {
+						t.Fatalf("%v/%d-way op %d: Lookup(%#x) = %v, naive %v", repl, ways, op, addr, got, want)
+					}
+					if got {
+						hits++
+					}
+				case r < 14:
+					gotEv, gotOK := c.Insert(addr)
+					wantEv, wantOK := n.insert(addr)
+					if gotEv != wantEv || gotOK != wantOK {
+						t.Fatalf("%v/%d-way op %d: Insert(%#x) = (%#x, %v), naive (%#x, %v)",
+							repl, ways, op, addr, gotEv, gotOK, wantEv, wantOK)
+					}
+					if gotOK {
+						evictions++
+					}
+				case r < 16:
+					if got, want := c.Invalidate(addr), n.invalidate(addr); got != want {
+						t.Fatalf("%v/%d-way op %d: Invalidate(%#x) = %v, naive %v", repl, ways, op, addr, got, want)
+					}
+				default:
+					if got, want := c.Probe(addr), n.probe(addr); got != want {
+						t.Fatalf("%v/%d-way op %d: Probe(%#x) = %v, naive %v", repl, ways, op, addr, got, want)
+					}
+				}
+				if got, want := c.ResidentLines(), n.resident(); got != want {
+					t.Fatalf("%v/%d-way op %d: ResidentLines = %d, naive %d", repl, ways, op, got, want)
+				}
+			}
+			if hits == 0 || evictions == 0 {
+				t.Fatalf("%v/%d-way: weak stream (%d hits, %d evictions)", repl, ways, hits, evictions)
+			}
+		}
+	}
+}

@@ -134,12 +134,8 @@ type Core struct {
 	hier   *Hierarchy
 	space  *mem.AddressSpace
 
-	ctr Counters
+	acctState // counters and fractional cycle/dispatch accumulators
 
-	cycFrac     float64 // fractional cycles not yet flushed into EvCycles
-	compFrac    float64 // fractional completion-cycles
-	dispFrac    float64 // fractional dispatches
-	kcycFrac    float64
 	burst       int    // current consecutive L1D-load-miss burst length
 	lastILine   uint64 // last fetched I-line (sequential prefetch model)
 	returnSeq   uint64 // return counter for the link-stack model
@@ -161,7 +157,7 @@ type Core struct {
 	// entry with nothing in between in that structure, so the relative
 	// recency order among distinct entries — the only thing replacement
 	// ever consults — is unchanged.
-	noFast  bool // disables all fast paths (reference/pre-change behaviour)
+	noFast  bool // disables every state-skipping shortcut (reference mode)
 	fastI   bool
 	lastIPC uint64
 	fastD   bool
@@ -287,87 +283,17 @@ func (c *Core) CoreID() int { return c.cfg.ID }
 // UnmappedAccesses reports trace addresses that fell outside every region.
 func (c *Core) UnmappedAccesses() uint64 { return c.unmapped }
 
-// addCycles charges cy cycles, attributing them to completion/stall and
-// kernel accounting. The fractional adds live in the two inlinable
-// front-ends below (chargeBase for the per-instruction completing charge,
-// chargeStall for everything else); the whole-cycle spills into the
-// counter array happen in flushCycles. Every accumulator is kept < 1
-// after each charge, so checking all three in flushCycles regardless of
-// which one crossed reproduces the original per-call flush sequence
-// exactly.
-func (c *Core) addCycles(cy float64, completing bool, kernel bool) {
-	if completing {
-		c.chargeBase(cy, kernel)
-	} else {
-		c.chargeStall(cy, kernel)
-	}
-}
-
-// chargeBase charges completing cycles (the per-instruction base-CPI
-// charge).
-func (c *Core) chargeBase(cy float64, kernel bool) {
-	c.cycFrac += cy
-	c.compFrac += cy
-	if kernel {
-		c.kcycFrac += cy
-	}
-	if c.cycFrac >= 1 || c.compFrac >= 1 || c.kcycFrac >= 1 {
-		c.flushCycles()
-	}
-}
-
-// chargeStall charges non-completing (stall) cycles.
-func (c *Core) chargeStall(cy float64, kernel bool) {
-	c.cycFrac += cy
-	if kernel {
-		c.kcycFrac += cy
-	}
-	if c.cycFrac >= 1 || c.kcycFrac >= 1 {
-		c.flushCycles()
-	}
-}
-
-func (c *Core) flushCycles() {
-	if c.cycFrac >= 1 {
-		n := uint64(c.cycFrac)
-		c.ctr.Add(EvCycles, n)
-		c.cycFrac -= float64(n)
-	}
-	if c.compFrac >= 1 {
-		n := uint64(c.compFrac)
-		c.ctr.Add(EvCycWithCompletion, n)
-		c.compFrac -= float64(n)
-	}
-	if c.kcycFrac >= 1 {
-		n := uint64(c.kcycFrac)
-		c.ctr.Add(EvKernelCycles, n)
-		c.kcycFrac -= float64(n)
-	}
-}
-
-func (c *Core) addDispatch(n float64) {
-	c.dispFrac += n
-	if c.dispFrac >= 1 {
-		k := uint64(c.dispFrac)
-		c.ctr.Add(EvInstDispatched, k)
-		c.dispFrac -= float64(k)
-	}
-}
-
-// SetFastPaths enables or disables the state-neutral fast paths. With
-// enabled=false the core runs every instruction through the full model —
-// the pre-batching reference behaviour used by equivalence tests and the
-// reference benchmark. Counter results are identical either way; only
-// the work done per instruction differs. It returns the previous setting.
+// SetFastPaths enables or disables the state-skipping shortcuts: the
+// same-line and same-page fast paths and the translation memo. With
+// enabled=false the core runs every instruction through the full model,
+// the reference the equivalence tests compare against. Counter results
+// are identical either way. It returns the previous setting.
 func (c *Core) SetFastPaths(enabled bool) bool {
 	prev := !c.noFast
 	c.noFast = !enabled
 	c.fastI = false
 	c.fastD = false
 	c.fastL = false
-	c.l1i.SetReference(!enabled)
-	c.l1d.SetReference(!enabled)
-	c.mmu.SetReference(!enabled)
 	return prev
 }
 

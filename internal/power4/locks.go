@@ -28,11 +28,6 @@ func (h *Hierarchy) noteRemoteStore(chip int, line uint64) {
 			h.storeRing = append(h.storeRing, line)
 		}
 	}
-	if h.noFast {
-		// Reference mode: the pre-change unconditional read-modify-write.
-		h.recentStores[line] |= 1 << uint(chip)
-		return
-	}
 	if m&(1<<uint(chip)) == 0 {
 		h.recentStores[line] = m | 1<<uint(chip)
 	}

@@ -207,8 +207,8 @@ func NewShardGroup(cores []*Core, hier *Hierarchy, cfg ShardConfig) (*ShardGroup
 		// into the fused loop.
 		return g, nil
 	}
-	for i := range cores {
-		g.acct[i].loadFrom(cores[i])
+	for i, c := range cores {
+		g.acct[i] = c.acctState
 	}
 	g.in = make([]*isa.Ring[*shardBatch], shards)
 	g.mid = make([]*isa.Ring[*shardBatch], shards)
@@ -495,7 +495,7 @@ func (g *ShardGroup) accountant(w int) {
 		}
 		if sb.drain != nil {
 			for c := w; c < len(g.cores); c += g.shards {
-				g.acct[c].storeTo(g.cores[c])
+				g.cores[c].acctState = g.acct[c]
 			}
 			sb.drain <- struct{}{}
 			continue

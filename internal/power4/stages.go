@@ -68,38 +68,27 @@ const (
 	iSrcMem               // memory
 )
 
-// acctState is the accounting stage's private state for one core: the
-// counters plus the fractional cycle/dispatch accumulators, mirroring the
-// corresponding Core fields. Keeping a separate copy (rather than writing
-// the Core's fields from the accounting goroutine) avoids false sharing
-// with the memory-stage fields that live in the same cache lines; the
-// state is copied back into the Core at every drain barrier.
+// acctState is a core's accounting state: the counters plus the
+// fractional cycle/dispatch accumulators. Core embeds one, which the fused
+// loop charges in place; the shard group keeps a separate copy per core
+// for its accounting stage (rather than writing the Core's fields from the
+// accounting goroutine, which would falsely share cache lines with the
+// memory-stage fields) and copies it back onto the Core at every drain
+// barrier. Both schedules therefore run the same charge helpers below, so
+// the float operation sequence is the same code, not a copy of it.
 type acctState struct {
 	ctr      Counters
-	cycFrac  float64
-	compFrac float64
-	dispFrac float64
-	kcycFrac float64
-	acc      batchAcc
+	cycFrac  float64 // fractional cycles not yet flushed into EvCycles
+	compFrac float64 // fractional completion-cycles
+	dispFrac float64 // fractional dispatches
+	kcycFrac float64 // fractional kernel cycles
 }
 
-func (a *acctState) loadFrom(c *Core) {
-	a.ctr = c.ctr
-	a.cycFrac, a.compFrac = c.cycFrac, c.compFrac
-	a.dispFrac, a.kcycFrac = c.dispFrac, c.kcycFrac
-	a.acc = batchAcc{}
-}
-
-func (a *acctState) storeTo(c *Core) {
-	c.ctr = a.ctr
-	c.cycFrac, c.compFrac = a.cycFrac, a.compFrac
-	c.dispFrac, c.kcycFrac = a.dispFrac, a.kcycFrac
-}
-
-// The charge helpers are verbatim copies of Core.chargeBase/chargeStall/
-// flushCycles/addDispatch over the local state: the float operation
-// sequence must match the fused loop exactly for bit-equality.
-
+// chargeBase charges completing cycles (the per-instruction base-CPI
+// charge); chargeStall charges non-completing (stall) cycles. The
+// whole-cycle spills into the counter array happen in flushCycles. Every
+// accumulator is kept < 1 after each charge, so checking all three in
+// flushCycles regardless of which one crossed is exact.
 func (a *acctState) chargeBase(cy float64, kernel bool) {
 	a.cycFrac += cy
 	a.compFrac += cy
@@ -222,14 +211,15 @@ func (c *Core) memTranslateData(in *isa.Instr, an *annot) (tr mem.Translation, o
 // annotations.
 func (c *Core) stageAccount(ins []isa.Instr, ann []annot, a *acctState) {
 	p := &c.cfg.Penalties
+	var acc batchAcc
 	for i := range ins {
 		in := &ins[i]
 		an := &ann[i]
 		f := an.flags
 
-		a.acc.inst++
+		acc.inst++
 		if in.Kernel {
-			a.acc.kinst++
+			acc.kinst++
 		}
 		switch {
 		case in.Class.IsMemory():
@@ -243,7 +233,7 @@ func (c *Core) stageAccount(ins []isa.Instr, ann []annot, a *acctState) {
 
 		// I-side, in fetch's order.
 		if f&aFastI != 0 {
-			a.acc.ifetchL1++
+			acc.ifetchL1++
 		} else if f&aUnmappedI == 0 {
 			if f&aIERATMiss != 0 {
 				a.ctr.Inc(EvIERATMiss)
@@ -258,7 +248,7 @@ func (c *Core) stageAccount(ins []isa.Instr, ann []annot, a *acctState) {
 				a.chargeStall(p.SLBWalk, in.Kernel)
 			}
 			if f&aL1IHit != 0 {
-				a.acc.ifetchL1++
+				acc.ifetchL1++
 			} else {
 				a.ctr.Inc(EvL1IMiss)
 				hide := 1.0
@@ -281,27 +271,27 @@ func (c *Core) stageAccount(ins []isa.Instr, ann []annot, a *acctState) {
 
 		switch in.Class {
 		case isa.ClassLoad:
-			a.acc.loads++
+			acc.loads++
 			c.accountLoad(in, an, a)
 		case isa.ClassStore:
-			a.acc.stores++
+			acc.stores++
 			c.accountStore(in, an, a)
 		case isa.ClassBranchCond:
-			a.acc.brCond++
+			acc.brCond++
 			if f&aMispred != 0 {
 				a.ctr.Inc(EvBrCondMispred)
 				a.chargeStall(p.CondMispred, in.Kernel)
 				a.addDispatch(p.WrongPathDispatch)
 			}
 		case isa.ClassBranchIndirect:
-			a.acc.brInd++
+			acc.brInd++
 			if f&aMispred != 0 {
 				a.ctr.Inc(EvBrTargetMispred)
 				a.chargeStall(p.TargetMispred, in.Kernel)
 				a.addDispatch(p.WrongPathDispatch)
 			}
 		case isa.ClassLarx:
-			a.acc.loads++
+			acc.loads++
 			a.ctr.Inc(EvLarx)
 			c.accountLoad(in, an, a)
 		case isa.ClassSync:
@@ -314,7 +304,7 @@ func (c *Core) stageAccount(ins []isa.Instr, ann []annot, a *acctState) {
 			a.ctr.Add(EvSyncSRQCycles, uint64(drain))
 			a.chargeStall(drain, in.Kernel)
 		case isa.ClassStcx:
-			a.acc.stores++
+			acc.stores++
 			a.ctr.Inc(EvStcx)
 			if f&aStcxOK == 0 {
 				a.ctr.Inc(EvStcxFail)
@@ -323,7 +313,7 @@ func (c *Core) stageAccount(ins []isa.Instr, ann []annot, a *acctState) {
 			a.chargeStall(p.StcxCost, in.Kernel)
 		}
 	}
-	a.acc.flush(&a.ctr)
+	acc.flush(&a.ctr)
 }
 
 // accountDTrans replays dataTranslate's charges. Flags are only set when

@@ -94,17 +94,11 @@ type lineState struct {
 // L2s, per-MCM L3s, and a MESI-flavoured directory that produces the
 // Figure 9 data-source labels.
 type Hierarchy struct {
-	cfg TopologyConfig
-	l2  []*Cache // per chip
-	l3  []*Cache // per MCM
-	// The coherence directory has two representations: the open-addressed
-	// dirTable used on the fast path, and the pre-change map used in
-	// reference mode so that SetFastPaths(false) reproduces pre-change
-	// per-access cost, not just behaviour. SetFastPaths migrates between
-	// them; exactly one holds the live entries at any time.
-	dir    *dirTable
-	dirMap map[uint64]*lineState
-	mcms   int
+	cfg  TopologyConfig
+	l2   []*Cache  // per chip
+	l3   []*Cache  // per MCM
+	dir  *dirTable // the coherence directory
+	mcms int
 
 	recentStores map[uint64]uint8 // lines recently stored to, per chip (reservation tracking)
 	storeRing    []uint64         // FIFO of tracked lines (deterministic eviction)
@@ -151,7 +145,7 @@ func NewHierarchy(cfg TopologyConfig) (*Hierarchy, error) {
 		return nil, fmt.Errorf("power4: bad topology %+v", cfg)
 	}
 	mcms := (cfg.Chips + cfg.ChipsPerMCM - 1) / cfg.ChipsPerMCM
-	h := &Hierarchy{cfg: cfg, dir: newDirTable(), dirMap: make(map[uint64]*lineState), mcms: mcms}
+	h := &Hierarchy{cfg: cfg, dir: newDirTable(), mcms: mcms}
 	for i := 0; i < cfg.Chips; i++ {
 		c, err := NewCache(cfg.L2)
 		if err != nil {
@@ -206,7 +200,7 @@ func (h *Hierarchy) load(core int, ra uint64) DataSource {
 		if c == chip || !h.l2[c].Probe(ra) {
 			continue
 		}
-		st := h.dirGet(line)
+		st := h.dir.get(line)
 		modified := st != nil && st.owner == int8(c)
 		sameMCM := h.MCMOf(c) == mcm
 		// The transfer downgrades a modified line to shared and installs a
@@ -271,16 +265,10 @@ func (h *Hierarchy) Store(core int, ra uint64) (l2Miss bool) {
 	}
 	hit := h.l2[chip].Lookup(ra)
 	var st *lineState
-	if h.noFast {
-		// Reference mode: the pre-change install-then-lookup sequence.
-		if !hit {
-			h.installL2(chip, ra, line)
-		}
-		st = h.dirGetOrCreate(line)
-	} else if !hit {
+	if !hit {
 		st = h.installL2(chip, ra, line)
 	} else {
-		st = h.dirGetOrCreate(line)
+		st = h.dir.getOrCreate(line)
 	}
 	// Invalidate every other chip's copy.
 	for c := 0; c < h.cfg.Chips; c++ {
@@ -327,40 +315,15 @@ func (h *Hierarchy) recordStoreFast(chip int, line uint64) {
 	h.storeFastN = n + 1
 }
 
-// SetFastPaths enables or disables the hierarchy's state-neutral store
-// fast path. Results are identical either way; disabling it restores the
-// pre-batching per-store work for reference measurements. It returns the
+// SetFastPaths enables or disables the hierarchy's state-skipping store
+// fast path (the storeFast ring). Results are identical either way;
+// disabling it runs every store through the full coherence walk, the
+// reference the equivalence tests compare against. It returns the
 // previous setting.
 func (h *Hierarchy) SetFastPaths(enabled bool) bool {
 	prev := !h.noFast
-	if prev != enabled {
-		// Migrate the directory between its two representations so the
-		// switch is state-preserving even mid-run.
-		if enabled {
-			for line, st := range h.dirMap {
-				*h.dir.getOrCreate(line) = *st
-			}
-			h.dirMap = make(map[uint64]*lineState)
-		} else {
-			for i := range h.dir.slots {
-				s := &h.dir.slots[i]
-				if s.key == 0 || s.key == dirTomb {
-					continue
-				}
-				st := s.lineState
-				h.dirMap[s.key-1] = &st
-			}
-			h.dir = newDirTable()
-		}
-	}
 	h.noFast = !enabled
 	h.storeFastN = 0
-	for _, c := range h.l2 {
-		c.SetReference(!enabled)
-	}
-	for _, c := range h.l3 {
-		c.SetReference(!enabled)
-	}
 	return prev
 }
 
@@ -391,45 +354,14 @@ func (h *Hierarchy) PrefetchFill(core int, ra uint64, deep bool) {
 }
 
 func (h *Hierarchy) noteSharer(line uint64, chip int) {
-	if st := h.dirGet(line); st != nil {
+	if st := h.dir.get(line); st != nil {
 		st.sharers |= 1 << uint(chip)
 	}
 }
 
-// dirGet returns the directory entry for line, or nil if absent.
-func (h *Hierarchy) dirGet(line uint64) *lineState {
-	if h.noFast {
-		return h.dirMap[line]
-	}
-	return h.dir.get(line)
-}
-
-// dirGetOrCreate returns the directory entry for line, inserting a fresh
-// one (owner -1, no sharers) if absent.
-func (h *Hierarchy) dirGetOrCreate(line uint64) *lineState {
-	if h.noFast {
-		st := h.dirMap[line]
-		if st == nil {
-			st = &lineState{owner: -1}
-			h.dirMap[line] = st
-		}
-		return st
-	}
-	return h.dir.getOrCreate(line)
-}
-
-// dirDel removes line's directory entry if present.
-func (h *Hierarchy) dirDel(line uint64) {
-	if h.noFast {
-		delete(h.dirMap, line)
-		return
-	}
-	h.dir.del(line)
-}
-
 func (h *Hierarchy) installL2(chip int, ra, line uint64) *lineState {
 	evicted, had := h.l2[chip].Insert(ra)
-	st := h.dirGetOrCreate(line)
+	st := h.dir.getOrCreate(line)
 	st.sharers |= 1 << uint(chip)
 	if had {
 		// The victim is never line itself (Insert returns early when the
@@ -443,13 +375,13 @@ func (h *Hierarchy) installL2(chip int, ra, line uint64) *lineState {
 // (victim-cache style, as on POWER4 where the L3 holds L2 castouts).
 func (h *Hierarchy) onL2Evict(chip int, evictedAddr uint64) {
 	line := h.lineOf(evictedAddr)
-	if st := h.dirGet(line); st != nil {
+	if st := h.dir.get(line); st != nil {
 		st.sharers &^= 1 << uint(chip)
 		if st.owner == int8(chip) {
 			st.owner = -1
 		}
 		if st.sharers == 0 {
-			h.dirDel(line)
+			h.dir.del(line)
 		}
 	}
 	h.insertL3(h.MCMOf(chip), evictedAddr)
@@ -461,12 +393,7 @@ func (h *Hierarchy) insertL3(mcm int, ra uint64) {
 
 // DirectorySize returns the number of tracked lines (bounded by total L2
 // capacity; used by invariant tests).
-func (h *Hierarchy) DirectorySize() int {
-	if h.noFast {
-		return len(h.dirMap)
-	}
-	return h.dir.live
-}
+func (h *Hierarchy) DirectorySize() int { return h.dir.live }
 
 // L2 exposes a chip's L2 cache for tests.
 func (h *Hierarchy) L2(chip int) *Cache { return h.l2[chip] }

@@ -19,12 +19,7 @@ type TransCache struct {
 	use  []uint64
 	mru  []uint32 // per set: way of the most recent hit (probe-order hint)
 	tick uint64
-	ref  bool // reference mode: pre-change probe order
 }
-
-// SetReference disables the MRU probe-order hint so lookups cost what
-// they did before the hint existed. Results are identical either way.
-func (t *TransCache) SetReference(ref bool) { t.ref = ref }
 
 // NewTransCache builds a translation cache with entries = sets*ways; sets
 // must be a power of two.
@@ -62,12 +57,10 @@ func (t *TransCache) Lookup(tr mem.Translation) bool {
 	set := k & (t.sets - 1)
 	base := int(set) * t.ways
 	// Most-recent-hit way first: probe order only, outcome and recency
-	// state are identical with the hint off (reference mode).
-	if !t.ref {
-		if i := base + int(t.mru[set]); t.ok[i] && t.keys[i] == k {
-			t.use[i] = t.tick
-			return true
-		}
+	// state are unchanged by the hint.
+	if i := base + int(t.mru[set]); t.ok[i] && t.keys[i] == k {
+		t.use[i] = t.tick
+		return true
 	}
 	for w := 0; w < t.ways; w++ {
 		i := base + w
@@ -197,20 +190,8 @@ func (m *MMU) translate(erat *TransCache, tr mem.Translation) AccessResult {
 	return res
 }
 
-// SetReference switches every translation structure to its pre-change
-// probe order for reference measurements.
-func (m *MMU) SetReference(ref bool) {
-	m.ierat.SetReference(ref)
-	m.derat.SetReference(ref)
-	m.tlb.SetReference(ref)
-	m.slb.SetReference(ref)
-}
-
 // Data translates a data access.
 func (m *MMU) Data(tr mem.Translation) AccessResult { return m.translate(m.derat, tr) }
 
 // Inst translates an instruction fetch.
 func (m *MMU) Inst(tr mem.Translation) AccessResult { return m.translate(m.ierat, tr) }
-
-// TLBEntries exposes the unified TLB capacity.
-func (m *MMU) TLBEntries() int { return m.tlb.Entries() }
