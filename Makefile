@@ -40,8 +40,12 @@ race:
 # must be bit-equivalent at every shard count, batch size, queue depth,
 # and GOMAXPROCS; run those guards on their own so a failure names them
 # directly, then once more under the race detector so the shard workers
-# and merge are exercised for data races too.
+# and merge are exercised for data races too. The trace emitter is held to
+# its oracles the same way: the table-driven mix sampler must draw the
+# reference sampler's class sequence exactly, and the emitted stream must
+# hash to its pinned SHA-256.
 equiv:
+	$(GO) test -run 'TestMixSamplerMatchesOracle|TestMixSamplerReset|TestEmitStreamFingerprint' ./internal/isa/ ./internal/server/
 	$(GO) test -run 'TestDetailStreamEquivalence|TestDirTableMatchesMap|TestCacheInsertMatchesNaive' ./internal/sim/ ./internal/power4/
 	$(GO) test -run 'TestSharded' ./internal/power4/
 	$(GO) test -run 'TestEngineSharded' ./internal/sim/
@@ -61,10 +65,12 @@ calibrate:
 # stream is slower than the fused loop: the concurrent schedule may never
 # be a pessimization on the CI host. The db and jvm
 # substrate microbenchmarks (WAL commit, scan after delete, heap collect)
-# run once each so they keep compiling and running.
+# and the trace-emission ones (one request's stream in ns/instr, one mix
+# sampler draw) run once each so they keep compiling and running.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkFig2|BenchmarkDetailStream|BenchmarkBuildReport' -benchtime 1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkWALCommit|BenchmarkScanAfterDelete|BenchmarkHeapCollect' -benchmem -benchtime 1x ./internal/db/ ./internal/jvm/
+	$(GO) test -run '^$$' -bench 'BenchmarkTraceEmit|BenchmarkMixSamplerNext' -benchtime 1x ./internal/server/ ./internal/isa/
 	JAS_BENCH_FLOOR=1 $(GO) test -run 'TestShardedFloor' -count 1 .
 
 # Measured numbers for the README perf table: the stream benchmarks get

@@ -115,7 +115,9 @@ func main() {
 		}
 	}
 
-	srv := &http.Server{Handler: svc.Handler()}
+	// Bound how long a client may take to send its headers: a stalled
+	// connection must not pin a goroutine and a socket forever.
+	srv := &http.Server{Handler: svc.Handler(), ReadHeaderTimeout: 10 * time.Second}
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.Serve(ln) }()
 

@@ -168,7 +168,7 @@ func runRouter(logger *log.Logger, addr, addrfile, route string) {
 		}
 	}
 
-	srv := &http.Server{Handler: rt}
+	srv := &http.Server{Handler: rt, ReadHeaderTimeout: 10 * time.Second}
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.Serve(ln) }()
 

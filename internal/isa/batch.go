@@ -28,8 +28,13 @@ const DefaultBatchCap = 256
 // supports it, or one Consume call per instruction otherwise, so plain
 // Sinks keep working unchanged. The zero Batcher is not ready for use;
 // call NewBatcher.
+//
+// The producer fills the buffer in place: Slot hands out the next free
+// entry and Commit appends it, so an instruction is written once, straight
+// into the batch, with no staging copy and no interface call.
 type Batcher struct {
-	buf  []Instr
+	buf  []Instr // full capacity; buf[:n] is pending
+	n    int
 	dst  Sink
 	bdst BatchSink // non-nil iff dst implements BatchSink
 }
@@ -40,7 +45,7 @@ func NewBatcher(capacity int) *Batcher {
 	if capacity <= 0 {
 		capacity = DefaultBatchCap
 	}
-	return &Batcher{buf: make([]Instr, 0, capacity)}
+	return &Batcher{buf: make([]Instr, capacity)}
 }
 
 // Bind flushes any buffered instructions to the previously bound sink
@@ -52,11 +57,17 @@ func (b *Batcher) Bind(dst Sink) {
 	b.bdst, _ = dst.(BatchSink)
 }
 
-// Consume implements Sink: it appends a copy of ins to the buffer and
-// flushes when the buffer reaches capacity.
-func (b *Batcher) Consume(ins *Instr) {
-	b.buf = append(b.buf, *ins)
-	if len(b.buf) == cap(b.buf) {
+// Slot returns the next free buffer entry. Its previous contents are
+// stale: the caller overwrites every field, then calls Commit. Until
+// Commit, the entry is not part of the batch, and calling Slot again
+// returns the same entry.
+func (b *Batcher) Slot() *Instr { return &b.buf[b.n] }
+
+// Commit appends the entry last returned by Slot to the batch and flushes
+// when the buffer reaches capacity.
+func (b *Batcher) Commit() {
+	b.n++
+	if b.n == len(b.buf) {
 		b.Flush()
 	}
 }
@@ -64,18 +75,17 @@ func (b *Batcher) Consume(ins *Instr) {
 // Flush delivers all buffered instructions to the bound sink and empties
 // the buffer. It is a no-op when the buffer is empty or no sink is bound.
 func (b *Batcher) Flush() {
-	if len(b.buf) == 0 || b.dst == nil {
-		b.buf = b.buf[:0]
-		return
-	}
-	if b.bdst != nil {
-		b.bdst.ConsumeBatch(b.buf)
-	} else {
-		for i := range b.buf {
-			b.dst.Consume(&b.buf[i])
+	if b.n > 0 && b.dst != nil {
+		pending := b.buf[:b.n]
+		if b.bdst != nil {
+			b.bdst.ConsumeBatch(pending)
+		} else {
+			for i := range pending {
+				b.dst.Consume(&pending[i])
+			}
 		}
 	}
-	b.buf = b.buf[:0]
+	b.n = 0
 }
 
 // ConsumeBatch implements BatchSink for CountingSink: class counts

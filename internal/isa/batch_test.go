@@ -41,9 +41,7 @@ func TestBatcherEquivalence(t *testing.T) {
 		var got CountingSink
 		b := NewBatcher(capacity)
 		b.Bind(&got)
-		for i := range trace {
-			b.Consume(&trace[i])
-		}
+		fillSlots(b, trace)
 		b.Flush()
 		if got != want {
 			t.Fatalf("cap %d: batched counts %+v != direct %+v", capacity, got, want)
@@ -58,9 +56,7 @@ func TestBatcherPlainSinkAdapter(t *testing.T) {
 	var got []Instr
 	b := NewBatcher(64)
 	b.Bind(SinkFunc(func(ins *Instr) { got = append(got, *ins) }))
-	for i := range trace {
-		b.Consume(&trace[i])
-	}
+	fillSlots(b, trace)
 	b.Flush()
 	if !reflect.DeepEqual(got, trace) {
 		t.Fatal("plain-sink adapter changed the stream")
@@ -74,13 +70,9 @@ func TestBatcherBindFlushes(t *testing.T) {
 	var first, second Recorder
 	b := NewBatcher(256)
 	b.Bind(&first)
-	for i := range trace[:60] {
-		b.Consume(&trace[i])
-	}
+	fillSlots(b, trace[:60])
 	b.Bind(&second) // must flush the 60 pending to first
-	for i := 60; i < len(trace); i++ {
-		b.Consume(&trace[i])
-	}
+	fillSlots(b, trace[60:])
 	b.Flush()
 	if len(first.Trace) != 60 || len(second.Trace) != 40 {
 		t.Fatalf("split %d/%d, want 60/40", len(first.Trace), len(second.Trace))
@@ -124,9 +116,7 @@ func TestRecorderRoundTrip(t *testing.T) {
 	var rec Recorder
 	b := NewBatcher(0) // default capacity
 	b.Bind(&rec)
-	for i := range trace {
-		b.Consume(&trace[i])
-	}
+	fillSlots(b, trace)
 	b.Flush()
 	if !reflect.DeepEqual(rec.Trace, trace) {
 		t.Fatal("recorder trace differs from input")
@@ -179,5 +169,63 @@ func TestReplayContextCancellation(t *testing.T) {
 	}
 	if direct != viaCtx {
 		t.Fatalf("live-context replay diverged: %+v vs %+v", viaCtx, direct)
+	}
+}
+
+// batchSizes records the size of every batch it receives.
+type batchSizes struct {
+	Recorder
+	sizes []int
+}
+
+func (s *batchSizes) ConsumeBatch(b Batch) {
+	s.sizes = append(s.sizes, len(b))
+	s.Recorder.ConsumeBatch(b)
+}
+
+// fillSlots streams trace through b with the in-place Slot/Commit form.
+func fillSlots(b *Batcher, trace []Instr) {
+	for i := range trace {
+		ins := b.Slot()
+		*ins = trace[i]
+		b.Commit()
+	}
+}
+
+// TestBatcherSlotFlushAtCapacity: Commit delivers a batch exactly when the
+// buffer fills, and Flush delivers the remainder.
+func TestBatcherSlotFlushAtCapacity(t *testing.T) {
+	trace := randomTrace(1000, 11)
+	var dst batchSizes
+	b := NewBatcher(256)
+	b.Bind(&dst)
+	fillSlots(b, trace[:512])
+	if !reflect.DeepEqual(dst.sizes, []int{256, 256}) {
+		t.Fatalf("batches %v after 512 commits, want [256 256]", dst.sizes)
+	}
+	fillSlots(b, trace[512:])
+	b.Flush()
+	if !reflect.DeepEqual(dst.sizes, []int{256, 256, 256, 232}) {
+		t.Fatalf("batches %v, want [256 256 256 232]", dst.sizes)
+	}
+	if !reflect.DeepEqual(dst.Trace, trace) {
+		t.Fatal("slot-filled stream differs from input")
+	}
+}
+
+// TestBatcherSlotUncommitted: a slot that is never committed is not
+// delivered, and the next Slot call reuses it.
+func TestBatcherSlotUncommitted(t *testing.T) {
+	trace := randomTrace(3, 12)
+	var dst Recorder
+	b := NewBatcher(8)
+	b.Bind(&dst)
+	*b.Slot() = trace[0]
+	b.Commit()
+	*b.Slot() = Instr{Class: ClassSync, PC: 0xdead} // abandoned
+	fillSlots(b, trace[1:])
+	b.Flush()
+	if !reflect.DeepEqual(dst.Trace, trace) {
+		t.Fatalf("got %+v, want %+v", dst.Trace, trace)
 	}
 }

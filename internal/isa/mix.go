@@ -90,10 +90,22 @@ func (m Mix) Validate() error {
 // scheduling ties so streams do not phase-lock. The long-run class
 // frequencies are deterministic and exact, which makes the generated
 // streams match the paper's measured rates precisely.
+//
+// The sampler sits on the trace emitter's per-instruction path, so the
+// classes with a non-zero rate are resolved once, at construction, into a
+// fixed table walked in class order; Next touches nothing else.
 type MixSampler struct {
-	mix Mix
-	rng *rand.Rand
-	acc [NumClasses]float64
+	mix    Mix
+	rng    *rand.Rand
+	active [NumClasses]mixSlot // classes with a non-zero rate, in class order
+	n      int                 // live entries in active
+}
+
+// mixSlot is one active class: its rate and fractional accumulator.
+type mixSlot struct {
+	class Class
+	rate  float64
+	acc   float64
 }
 
 // NewMixSampler validates the mix and builds a sampler.
@@ -102,36 +114,58 @@ func NewMixSampler(mix Mix, seed int64) (*MixSampler, error) {
 		return nil, err
 	}
 	s := &MixSampler{mix: mix, rng: rand.New(rand.NewSource(seed))}
-	// Desynchronize the accumulators so the first instructions are not all
-	// memory ops.
-	for i := range s.acc {
-		s.acc[i] = s.rng.Float64()
+	for c := ClassLoad; c < numClasses; c++ {
+		if r := mix.rate(c); r != 0 {
+			s.active[s.n] = mixSlot{class: c, rate: r}
+			s.n++
+		}
 	}
+	s.drawAccumulators()
 	return s, nil
+}
+
+// Reset re-seeds the sampler and redraws its accumulators, leaving it in
+// exactly the state NewMixSampler(s.Mix(), seed) would build, without
+// allocating a new RNG source.
+func (s *MixSampler) Reset(seed int64) {
+	s.rng.Seed(seed)
+	s.drawAccumulators()
+}
+
+// drawAccumulators desynchronizes the accumulators so the first
+// instructions are not all memory ops. One draw is taken per class, ALU
+// and STCX included, so the RNG stream does not depend on which rates are
+// zero.
+func (s *MixSampler) drawAccumulators() {
+	var acc [NumClasses]float64
+	for i := range acc {
+		acc[i] = s.rng.Float64()
+	}
+	for i := range s.active[:s.n] {
+		s.active[i].acc = acc[s.active[i].class]
+	}
 }
 
 // Mix returns the sampler's configured mix.
 func (s *MixSampler) Mix() Mix { return s.mix }
 
 // rate returns the configured rate for class c.
-func (s *MixSampler) rate(c Class) float64 {
+func (m Mix) rate(c Class) float64 {
 	switch c {
 	case ClassLoad:
-		return s.mix.LoadRate
+		return m.LoadRate
 	case ClassStore:
-		return s.mix.StoreRate
+		return m.StoreRate
 	case ClassBranchCond:
-		return s.mix.CondRate
+		return m.CondRate
 	case ClassBranchIndirect:
-		return s.mix.IndirectRate
+		return m.IndirectRate
 	case ClassLarx:
-		return s.mix.LarxRate
-	case ClassStcx:
-		return 0 // STCX is emitted by lock models paired with LARX
+		return m.LarxRate
 	case ClassSync:
-		return s.mix.SyncRate
+		return m.SyncRate
 	default:
-		return 0
+		return 0 // ALU is the remainder; STCX is emitted by lock models paired with LARX
 	}
 }
 
@@ -140,24 +174,23 @@ func (s *MixSampler) rate(c Class) float64 {
 // 1, that class is due. When several classes are due at once, one is chosen
 // uniformly and the rest stay due, preserving exact long-run rates.
 func (s *MixSampler) Next() Class {
-	due := make([]Class, 0, 4)
-	for c := ClassLoad; c < numClasses; c++ {
-		r := s.rate(c)
-		if r == 0 {
-			continue
-		}
-		s.acc[c] += r
-		if s.acc[c] >= 1 {
-			due = append(due, c)
+	var due [NumClasses]int8 // indexes into active
+	nd := 0
+	for i := range s.active[:s.n] {
+		a := &s.active[i]
+		a.acc += a.rate
+		if a.acc >= 1 {
+			due[nd] = int8(i)
+			nd++
 		}
 	}
-	if len(due) == 0 {
+	if nd == 0 {
 		return ClassALU
 	}
 	pick := due[0]
-	if len(due) > 1 {
-		pick = due[s.rng.Intn(len(due))]
+	if nd > 1 {
+		pick = due[s.rng.Intn(nd)]
 	}
-	s.acc[pick] -= 1
-	return pick
+	s.active[pick].acc -= 1
+	return s.active[pick].class
 }

@@ -11,7 +11,7 @@ import (
 )
 
 // rig builds a small but complete SUT at the given IR.
-func rig(t *testing.T, ir int) *Server {
+func rig(t testing.TB, ir int) *Server {
 	t.Helper()
 	lcfg := mem.DefaultLayoutConfig()
 	lcfg.HeapBytes = 256 << 20

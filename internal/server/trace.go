@@ -19,15 +19,21 @@ type traceEmitter struct {
 
 	mixUser   *isa.MixSampler
 	mixKernel *isa.MixSampler
+	mixGC     *isa.MixSampler // reset to the same seed by every EmitGC
 
 	// Per-native-segment block walkers.
 	walkers [NumSegments]blockWalker
 
-	// Current JITed-method walk state.
+	// Current JITed-method walk state. The current method's code base,
+	// span and body offset are cached by advanceMethod: the JIT does not
+	// change while a request is being emitted.
 	methods   []jvm.MethodID
 	methodPos int // index into methods
 	bodyLeft  int // instructions left in the current body
-	curPC     uint64
+	codeBase  uint64
+	codeSpan  uint64 // bytes the body offset wraps at (>= 8)
+	codeMask  uint64 // applied to the offset: all ones, or 64 KiB-1 for the interpreter loop
+	bodyOff   uint64 // byte offset of the next instruction in the body
 	strayPC   uint64 // cold helper-method walk (phase-driven)
 	strayLeft int
 
@@ -62,12 +68,13 @@ type traceEmitter struct {
 	privPos   int
 	privN     int
 
-	ins isa.Instr
 	// batch is the emitter-owned reusable buffer between the generators
-	// and the consuming sink: instructions are delivered in fixed-size
-	// batches (ConsumeBatch when the sink supports it) instead of one
-	// virtual call each, with every emit entry point flushing before it
-	// returns so counters are always consistent at window boundaries.
+	// and the consuming sink: every generator writes each instruction
+	// straight into a batch slot, and instructions are delivered in
+	// fixed-size batches (ConsumeBatch when the sink supports it) instead
+	// of one virtual call each, with every emit entry point flushing
+	// before it returns so counters are always consistent at window
+	// boundaries.
 	batch *isa.Batcher
 }
 
@@ -140,12 +147,17 @@ func newTraceEmitter(s *Server) *traceEmitter {
 	if err != nil {
 		panic("server: kernel mix invalid: " + err.Error())
 	}
+	mg, err := isa.NewMixSampler(isa.GCMix(), s.cfg.Seed+104)
+	if err != nil {
+		panic("server: gc mix invalid: " + err.Error())
+	}
 	l := s.layout
 	e := &traceEmitter{
 		s:         s,
 		rng:       rand.New(rand.NewSource(s.cfg.Seed + 103)),
 		mixUser:   mu,
 		mixKernel: mk,
+		mixGC:     mg,
 		stackBase: l.Stacks.Base,
 		staticHot: l.JavaStat.Base,
 		batch:     isa.NewBatcher(isa.DefaultBatchCap),
@@ -219,69 +231,71 @@ func (e *traceEmitter) emitRequest(sink isa.Sink, rt RequestType, res Result, me
 	for seg := Segment(0); seg < numSegments; seg++ {
 		n := int(float64(res.Segments[seg]) * detailFrac)
 		if n > 0 {
-			e.emitSegment(e.batch, seg, n)
+			e.emitSegment(seg, n)
 		}
 	}
 	e.batch.Flush()
 }
 
-// emitSegment streams n instructions attributed to one software component.
-func (e *traceEmitter) emitSegment(sink isa.Sink, seg Segment, n int) {
-	_ = e.driftBoost // applied inside the block walkers via nextPC
+// emitSegment streams n instructions attributed to one software component
+// into the batch buffer.
+func (e *traceEmitter) emitSegment(seg Segment, n int) {
 	kernel := seg == SegKernel
 	mix := e.mixUser
 	if kernel {
 		mix = e.mixKernel
 	}
+	b := e.batch
 	for i := 0; i < n; i++ {
+		ins := b.Slot()
 		if e.pendingStcx {
 			e.pendingStcx = false
-			e.ins = isa.Instr{Class: isa.ClassStcx, PC: e.nextPC(seg), EA: e.stcxEA, Size: 8, Kernel: kernel}
-			sink.Consume(&e.ins)
+			*ins = isa.Instr{Class: isa.ClassStcx, PC: e.nextPC(seg), EA: e.stcxEA, Size: 8, Kernel: kernel}
+			b.Commit()
 			continue
 		}
 		cl := mix.Next()
 		pc := e.nextPC(seg)
-		e.ins = isa.Instr{Class: cl, PC: pc, Kernel: kernel}
+		*ins = isa.Instr{Class: cl, PC: pc, Kernel: kernel}
 		switch cl {
 		case isa.ClassLoad:
-			e.ins.EA = e.loadEA(seg)
-			e.ins.Size = 8
+			ins.EA = e.loadEA(seg)
+			ins.Size = 8
 		case isa.ClassStore:
-			e.ins.EA = e.storeEA(seg)
-			e.ins.Size = 8
+			ins.EA = e.storeEA(seg)
+			ins.Size = 8
 		case isa.ClassBranchCond:
 			bias := condBias(pc)
-			e.ins.Taken = e.rng.Float64() < bias
+			ins.Taken = e.rng.Float64() < bias
 			// Data-dependent noise rises in cold phases (different rows,
 			// different paths), so mispredictions co-move with misses.
 			if e.phase > 0.65 && e.rng.Float64() < 0.050*(e.phase-0.65) {
-				e.ins.Taken = !e.ins.Taken
+				ins.Taken = !ins.Taken
 			}
-			if e.ins.Taken {
-				e.ins.Target = pc - 64
+			if ins.Taken {
+				ins.Target = pc - 64
 			}
 		case isa.ClassBranchIndirect:
 			if e.rng.Float64() < 0.60 {
 				// Most dynamic indirect branches are returns, predicted by
 				// the hardware link stack rather than the target table.
-				e.ins.Return = true
-				e.ins.Target = pc + 8
+				ins.Return = true
+				ins.Target = pc + 8
 				break
 			}
 			// Call sites live at stable block positions: quantize so the
 			// target predictor sees recurring sites (dynamic indirect
 			// executions concentrate in a modest set of hot call sites).
-			e.ins.PC = pc&^2047 | 0x40
-			e.ins.Target = e.indirectTarget(seg, e.ins.PC)
+			ins.PC = pc&^2047 | 0x40
+			ins.Target = e.indirectTarget(seg, ins.PC)
 		case isa.ClassLarx:
 			ea := e.lockEA()
-			e.ins.EA = ea
-			e.ins.Size = 8
+			ins.EA = ea
+			ins.Size = 8
 			e.pendingStcx = true
 			e.stcxEA = ea
 		}
-		sink.Consume(&e.ins)
+		b.Commit()
 	}
 }
 
@@ -311,28 +325,31 @@ func (e *traceEmitter) nextPC(seg Segment) uint64 {
 	if e.bodyLeft <= 0 {
 		e.advanceMethod()
 	}
-	m := e.s.jit.Method(e.methods[e.methodPos%len(e.methods)])
-	span := uint64(m.CodeSize)
-	if span < 8 {
-		span = 8
-	}
-	off := (uint64(m.BodyLen-e.bodyLeft) * 4) % span
+	pc := e.codeBase + e.bodyOff&e.codeMask
 	e.bodyLeft--
-	base := m.CodeAddr
-	if base == 0 {
-		// Interpreted: the interpreter loop lives in JVM native code.
-		base = e.s.layout.JVMNative.Base
-		off %= 64 << 10
+	// The body walks 4 bytes per instruction, wrapping at the code span.
+	if e.bodyOff += 4; e.bodyOff >= e.codeSpan {
+		e.bodyOff -= e.codeSpan
 	}
-	e.curPC = base + off
-	return e.curPC
+	return pc
 }
 
-// advanceMethod moves to the next sampled method.
+// advanceMethod moves to the next sampled method and caches where its
+// body lives.
 func (e *traceEmitter) advanceMethod() {
 	e.methodPos++
 	m := e.s.jit.Method(e.methods[e.methodPos%len(e.methods)])
 	e.bodyLeft = m.BodyLen
+	e.bodyOff = 0
+	e.codeSpan = uint64(m.CodeSize)
+	if e.codeSpan < 8 {
+		e.codeSpan = 8
+	}
+	e.codeBase, e.codeMask = m.CodeAddr, ^uint64(0)
+	if m.CodeAddr == 0 {
+		// Interpreted: the interpreter loop lives in JVM native code.
+		e.codeBase, e.codeMask = e.s.layout.JVMNative.Base, 64<<10-1
+	}
 }
 
 // condBias derives a stable per-site taken probability: most compiled
@@ -653,31 +670,25 @@ func (e *traceEmitter) lockEA() uint64 {
 // timer ticks — a tiny working set with predictable branches, giving the
 // paper's ~0.7 idle CPI.
 func (s *Server) EmitIdle(sink isa.Sink, n int) {
-	e := s.emitter
-	e.batch.Bind(sink)
-	sink = e.batch
+	b := s.emitter.batch
+	b.Bind(sink)
 	pcBase := s.layout.Kernel.Base + 96<<20
 	for i := 0; i < n; i++ {
-		pc := pcBase + uint64(i%64)*4
-		cl := isa.ClassALU
+		ins := b.Slot()
+		*ins = isa.Instr{Class: isa.ClassALU, PC: pcBase + uint64(i%64)*4, Kernel: true}
 		switch i % 16 {
 		case 3:
-			cl = isa.ClassLoad
+			ins.Class = isa.ClassLoad
+			ins.EA = pcBase + 1<<16 + uint64(i%256)
+			ins.Size = 8
 		case 9:
-			cl = isa.ClassBranchCond
+			ins.Class = isa.ClassBranchCond
+			ins.Taken = true
+			ins.Target = pcBase
 		}
-		e.ins = isa.Instr{Class: cl, PC: pc, Kernel: true}
-		if cl == isa.ClassLoad {
-			e.ins.EA = pcBase + 1<<16 + uint64(i%256)
-			e.ins.Size = 8
-		}
-		if cl == isa.ClassBranchCond {
-			e.ins.Taken = true
-			e.ins.Target = pcBase
-		}
-		sink.Consume(&e.ins)
+		b.Commit()
 	}
-	e.batch.Flush()
+	b.Flush()
 }
 
 // EmitGC streams n instructions of garbage-collection work: tight loops
@@ -688,18 +699,17 @@ func (s *Server) EmitIdle(sink isa.Sink, n int) {
 // miss rate).
 func (s *Server) EmitGC(sink isa.Sink, n int) {
 	e := s.emitter
-	gcMix, err := isa.NewMixSampler(isa.GCMix(), s.cfg.Seed+104)
-	if err != nil {
-		panic("server: gc mix invalid: " + err.Error())
-	}
+	// Every GC stretch replays the GC mix from the same seed.
+	gcMix := e.mixGC
+	gcMix.Reset(s.cfg.Seed + 104)
 	// Parallel GC threads partition the heap: each core scans its own
 	// stripe (no cross-chip sharing of mark state).
 	var coreID uint64
 	if ider, ok := sink.(interface{ CoreID() int }); ok {
 		coreID = uint64(ider.CoreID())
 	}
-	e.batch.Bind(sink)
-	sink = e.batch
+	b := e.batch
+	b.Bind(sink)
 	gcCode := s.layout.JVMNative.Base + 8<<20 // the collector's compact loop
 	heapBase := s.layout.JavaHeap.Base
 	heapSpan := s.heap.UsedBytes()
@@ -714,7 +724,8 @@ func (s *Server) EmitGC(sink isa.Sink, n int) {
 	for i := 0; i < n; i++ {
 		pc := gcCode + uint64(i%512)*4
 		cl := gcMix.Next()
-		e.ins = isa.Instr{Class: cl, PC: pc}
+		ins := b.Slot()
+		*ins = isa.Instr{Class: cl, PC: pc}
 		switch cl {
 		case isa.ClassLoad:
 			switch {
@@ -723,7 +734,7 @@ func (s *Server) EmitGC(sink isa.Sink, n int) {
 				// follows (mark order respects allocation order — the
 				// locality the paper suggests exploiting).
 				markCursor = (markCursor + 96) % heapSpan
-				e.ins.EA = heapBase + markCursor
+				ins.EA = heapBase + markCursor
 			case len(s.cacheObjs) > 0:
 				// Pointer chasing, but to neighbors allocated together, and
 				// scanning each visited object's header+fields within one
@@ -735,32 +746,32 @@ func (s *Server) EmitGC(sink isa.Sink, n int) {
 					e.gcField = 0
 				}
 				id := s.cacheObjs[e.gcChase]
-				e.ins.EA = s.heap.Addr(id) + uint64(e.gcField)*24
+				ins.EA = s.heap.Addr(id) + uint64(e.gcField)*24
 				e.gcField++
 			default:
-				e.ins.EA = heapBase + uint64(e.rng.Intn(int(heapSpan)))
+				ins.EA = heapBase + uint64(e.rng.Intn(int(heapSpan)))
 			}
-			lastScan = e.ins.EA
-			e.ins.Size = 8
+			lastScan = ins.EA
+			ins.Size = 8
 		case isa.ClassStore:
 			// Mark bits live in the headers of just-scanned objects — the
 			// line is already resident from the scan load, which is why
 			// store misses DROP during GC (Figure 8).
-			e.ins.EA = lastScan &^ 63
-			e.ins.Size = 8
+			ins.EA = lastScan &^ 63
+			ins.Size = 8
 		case isa.ClassBranchCond:
 			// Scan-loop branches: highly predictable.
-			e.ins.Taken = e.rng.Float64() < 0.97
-			e.ins.Target = pc - 32
+			ins.Taken = e.rng.Float64() < 0.97
+			ins.Target = pc - 32
 		case isa.ClassBranchIndirect:
 			// Scan dispatch on object type: stable per site.
-			e.ins.PC = pc&^511 | 0x40
-			e.ins.Target = gcCode + (e.ins.PC>>9&15)*256
+			ins.PC = pc&^511 | 0x40
+			ins.Target = gcCode + (ins.PC>>9&15)*256
 		case isa.ClassLarx:
-			e.ins.EA = s.layout.GCMeta.Base + uint64(e.rng.Intn(1024))
+			ins.EA = s.layout.GCMeta.Base + uint64(e.rng.Intn(1024))
 			e.pendingStcx = false
 		}
-		sink.Consume(&e.ins)
+		b.Commit()
 	}
-	e.batch.Flush()
+	b.Flush()
 }

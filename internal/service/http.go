@@ -89,14 +89,33 @@ func boolParam(r *http.Request, name string) bool {
 	return v == "1" || v == "true"
 }
 
+// maxSpecBytes bounds a POSTed JobSpec or SweepSpec body. The largest
+// legitimate body is an inline recorded arrival trace; a default
+// full-scale ramp trace is ~8 MB. A variable only so tests can lower it.
+var maxSpecBytes int64 = 32 << 20
+
+// decodeSpec strictly decodes a size-bounded JSON body into v: a
+// misspelled field would otherwise silently take its default and submit
+// (and possibly dedup onto) the wrong experiment. On failure it writes
+// 413 for an oversized body, 400 otherwise, and returns false.
+func decodeSpec(w http.ResponseWriter, r *http.Request, what string, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, code, fmt.Errorf("bad %s: %w", what, err))
+		return false
+	}
+	return true
+}
+
 func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
-	// Strict decoding: a misspelled field would otherwise silently take its
-	// default and submit (and possibly dedup onto) the wrong experiment.
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad JobSpec: %w", err))
+	if !decodeSpec(w, r, "JobSpec", &spec) {
 		return
 	}
 	cfg, err := spec.RunConfig()
@@ -366,12 +385,7 @@ func (s *Service) figure(j *Job, name string) (any, error) {
 
 func (s *Service) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec SweepSpec
-	// Strict decoding, like /v1/runs: a misspelled axis or base field must
-	// not silently sweep the wrong experiment.
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad SweepSpec: %w", err))
+	if !decodeSpec(w, r, "SweepSpec", &spec) {
 		return
 	}
 	base, err := spec.Base.RunConfig()

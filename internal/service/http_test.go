@@ -709,3 +709,39 @@ func streamLines(t *testing.T, url string) []string {
 	}
 	return lines
 }
+
+// TestSpecBodyBounded: an oversized POST body on either submission
+// endpoint is refused with 413 before it is buffered, while a small
+// malformed body still gets the ordinary 400.
+func TestSpecBodyBounded(t *testing.T) {
+	defer func(old int64) { maxSpecBytes = old }(maxSpecBytes)
+	maxSpecBytes = 1 << 10
+	s := New(Options{Workers: 1, QueueDepth: 1})
+	defer s.Shutdown(context.Background())
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+
+	post := func(path, body string) int {
+		t.Helper()
+		resp, err := http.Post(srv.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		io.Copy(io.Discard, resp.Body)
+		return resp.StatusCode
+	}
+	// Valid JSON up to the cut: only the size makes these bodies wrong.
+	pad := strings.Repeat(" ", 2<<10)
+	for _, c := range []struct{ path, body string }{
+		{"/v1/runs", `{"scale":"quick",` + pad + `"seed":1}`},
+		{"/v1/sweeps", `{"base":{"scale":"quick"},` + pad + `"axes":[]}`},
+	} {
+		if got := post(c.path, c.body); got != http.StatusRequestEntityTooLarge {
+			t.Errorf("POST %s with %d-byte body: status %d, want 413", c.path, len(c.body), got)
+		}
+		if got := post(c.path, `{"bogus":1}`); got != http.StatusBadRequest {
+			t.Errorf("POST %s with unknown field: status %d, want 400", c.path, got)
+		}
+	}
+}
