@@ -1,18 +1,20 @@
 # Tier-1 is what the roadmap requires green: build + tests.
 # `make ci` is the tier-1+ gate: formatting, vet, build, the full test
 # suite under the race detector with shuffled test order (exercising the
-# parallel experiment scheduler and the jasd worker pool), the workload
-# pack calibration gate (quick-scale scalars + report vs testdata
-# goldens for all three packs), a one-shot benchmark smoke of the
-# Figure 2 pipeline and the db/jvm substrate, the jasd service smoke
-# (real daemon on a random port, golden-report diff, graceful drain),
-# the sweep smoke (12-cell grid through the real daemon costing
-# exactly one request-level simulation), and the loadgen smoke (ramp
-# spec vs its recorded trace: distinct jobs, byte-identical reports).
+# parallel experiment scheduler and the jasd worker pool), a short fuzz
+# of the router's request keying, vet and tests of the nested jasbench
+# module, the workload pack calibration gate (quick-scale scalars +
+# report vs testdata goldens for all three packs), a one-shot
+# benchmark smoke of the Figure 2 pipeline and the db/jvm substrate,
+# the jasd service smoke (real daemon on a random port, golden-report
+# diff, graceful drain), the sweep smoke (12-cell grid through the real
+# daemon costing exactly one request-level simulation), and the loadgen
+# smoke (ramp spec vs its recorded trace: distinct jobs, byte-identical
+# reports).
 
 GO ?= go
 
-.PHONY: all build test ci fmt vet race equiv calibrate bench-smoke bench-json report service-smoke sweep-smoke loadgen-smoke store-smoke shard-smoke
+.PHONY: all build test ci fmt vet race fuzz jasbench-check equiv calibrate bench-smoke report service-smoke sweep-smoke loadgen-smoke store-smoke shard-smoke
 
 all: build test
 
@@ -33,6 +35,18 @@ vet:
 
 race:
 	$(GO) test -race -shuffle=on ./...
+
+# A short fuzz of the -route router's request keying: routeKey and pathID
+# never panic, and a submission body within the replicas' bound is left on
+# the request byte for byte for the proxy leg.
+fuzz:
+	$(GO) test -run '^$$' -fuzz FuzzRouteKey -fuzztime 5s ./cmd/jasd/
+
+# jasbench/ is its own Go module, so the root `go build ./...` cannot see
+# it: vet and test it here, so a core or power4 API it imports cannot be
+# removed or renamed without CI noticing.
+jasbench-check:
+	cd jasbench && $(GO) vet ./... && $(GO) test ./...
 
 # The batched fused loop must be bit-equivalent to the per-instruction
 # reference (fast paths off), the coherence directory and the caches must
@@ -73,24 +87,6 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkTraceEmit|BenchmarkMixSamplerNext' -benchtime 1x ./internal/server/ ./internal/isa/
 	JAS_BENCH_FLOOR=1 $(GO) test -run 'TestShardedFloor' -count 1 .
 
-# Measured numbers for the README perf table: the stream benchmarks get
-# 5 runs of 6 iterations (min-of-5 rides out shared-host noise), the
-# full-report benchmark is too slow for that and gets 3 single-shot runs,
-# and the jasd server path (submit + dedup + cached-report serve, client
-# parallelism 1/4/8) gets 3 runs of 300 round trips. BENCH_OUT names the
-# artifact; BENCH_BASELINE (a previous artifact) adds per-benchmark
-# min-vs-min speedup deltas to it.
-BENCH_OUT ?= BENCH_PR10.json
-BENCH_BASELINE ?= BENCH_PR8.json
-bench-json:
-	{ $(GO) test -run '^$$' -bench 'BenchmarkDetailStream' -benchmem -benchtime 6x -count 5 . && \
-	  $(GO) test -run '^$$' -bench 'BenchmarkLoadgenWindow' -benchmem -benchtime 1000x -count 5 . && \
-	  $(GO) test -run '^$$' -bench 'BenchmarkBuildReport' -benchmem -benchtime 1x -count 3 . && \
-	  $(GO) test -run '^$$' -bench 'BenchmarkSweepGrid' -benchtime 1x -count 3 . && \
-	  $(GO) test -run '^$$' -bench 'BenchmarkServeRuns' -benchtime 300x -count 3 ./internal/service/ ; } \
-	| $(GO) run ./cmd/benchjson -baseline $(BENCH_BASELINE) -out $(BENCH_OUT)
-	@cat $(BENCH_OUT)
-
 # End-to-end smoke of the serving layer: real jasd on a random port,
 # jasctl submit, golden-report diff, /metrics sanity, SIGTERM drain.
 service-smoke:
@@ -123,7 +119,7 @@ store-smoke:
 shard-smoke:
 	sh scripts/shard_smoke.sh
 
-ci: fmt vet build race equiv calibrate bench-smoke service-smoke sweep-smoke loadgen-smoke store-smoke shard-smoke
+ci: fmt vet build race fuzz jasbench-check equiv calibrate bench-smoke service-smoke sweep-smoke loadgen-smoke store-smoke shard-smoke
 
 # Regenerate the paper-vs-measured table (EXPERIMENTS.md format).
 report:

@@ -447,8 +447,8 @@ func benchSharded(b *testing.B, cfg power4.ShardConfig) {
 // goroutines with the deterministic coherence merge, shard count
 // auto-selected for the host (collapsing to the fused loop on 1-CPU
 // hosts). Its honest fused baseline is BenchmarkDetailStreamFusedMulti —
-// identical feed, no shard machinery; benchjson derives shard_speedup
-// from that pair.
+// identical feed, no shard machinery; TestShardedFloor asserts the same
+// comparison as a floor.
 func BenchmarkDetailStreamSharded(b *testing.B) {
 	benchSharded(b, power4.ShardConfig{})
 }
@@ -463,7 +463,7 @@ func BenchmarkDetailStreamShardedForced(b *testing.B) {
 
 // BenchmarkDetailStreamFusedMulti measures the fused loop over the same
 // interleaved multi-core feed the sharded benchmarks consume, with no
-// shard machinery — the reference for shard_speedup.
+// shard machinery — the fused reference for the sharded pair.
 func BenchmarkDetailStreamFusedMulti(b *testing.B) {
 	trace := benchDetailTrace(b)
 	sut := benchStreamCore(b)
@@ -484,7 +484,7 @@ func BenchmarkDetailStreamFusedMulti(b *testing.B) {
 // first ref growth) took the end-to-end report from 392k allocs and
 // 246 MB per op down to ~368k and ~199 MB; the ceilings sit between the
 // two so a regression back toward the old numbers fails the benchmark
-// instead of silently landing in the checked-in BENCH json.
+// (and with it `make bench-smoke`).
 const (
 	buildReportAllocCeiling = 385_000
 	buildReportBytesCeiling = 230 << 20
@@ -536,58 +536,6 @@ func BenchmarkCrossChecks(b *testing.B) {
 	}
 }
 
-// benchSweepGrid drives a page-size x detail-frac what-if grid through
-// the artifact store, all cells concurrent, flushing the store each
-// iteration so every request-level run is paid for inside the timed
-// region. sims/cell is the number of request-level simulations actually
-// executed per grid cell: 1.0 without split-key sharing, and
-// distinct(RequestKey)/cells (here 1/6) with it — the tentpole's win.
-func benchSweepGrid(b *testing.B, share bool) {
-	cfg := quickCfg()
-	cfg.DurationMS = 60_000
-	cfg.RampMS = 20_000
-	cells, err := core.Sweep{Base: cfg, Axes: []core.Axis{
-		{Param: "heap_page", Values: []any{"4K", "16M"}},
-		{Param: "detail_frac", Values: []any{0.002, 0.005, 0.01}},
-	}}.Expand(64)
-	if err != nil {
-		b.Fatal(err)
-	}
-	prev := core.SetShareRequestLevel(share)
-	defer core.SetShareRequestLevel(prev)
-	before := core.SimCounts()["request-level"]
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		FlushRuns()
-		g := core.NewGroup(Parallelism())
-		for _, cell := range cells {
-			g.Go(func() error {
-				art := ForConfig(cell.Cfg)
-				if _, err := art.RequestLevel(); err != nil {
-					return err
-				}
-				_, err := art.Detail()
-				return err
-			})
-		}
-		if err := g.Wait(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	sims := core.SimCounts()["request-level"] - before
-	b.ReportMetric(float64(sims)/float64(len(cells)*b.N), "sims/cell")
-	FlushRuns()
-}
-
-// BenchmarkSweepGridShared runs the 6-cell grid with split-key reuse on:
-// one request-level simulation serves every cell.
-func BenchmarkSweepGridShared(b *testing.B) { benchSweepGrid(b, true) }
-
-// BenchmarkSweepGridUnshared is the pre-split foil: each cell re-buys its
-// request-level run, as the unsplit cache did.
-func BenchmarkSweepGridUnshared(b *testing.B) { benchSweepGrid(b, false) }
-
 // benchLoadgenSource builds a loadgen source over jas2004-shaped rates.
 func benchLoadgenSource(b testing.TB, rawSpec string) *loadgen.Source {
 	b.Helper()
@@ -605,24 +553,6 @@ func benchLoadgenSource(b testing.TB, rawSpec string) *loadgen.Source {
 		b.Fatal(err)
 	}
 	return src
-}
-
-// BenchmarkLoadgenWindow measures per-window arrival-stream generation on
-// the worst-case spec shape: a sweep baseline under a bursty surge
-// cohort, so every window pays for segment splitting across two cohorts,
-// two RNG lanes, per-class Poisson draws, and the offset sort. This is
-// the per-window cost the engine adds when a run is spec-driven.
-func BenchmarkLoadgenWindow(b *testing.B) {
-	src := benchLoadgenSource(b, `{"version":1,"cohorts":[`+
-		`{"name":"base","share":3,"process":{"kind":"sweep","period_ms":60000,"amplitude":0.3}},`+
-		`{"name":"surge","share":1,"process":{"kind":"burst","on_ms":2000,"off_ms":6000,"factor":3}}]}`)
-	arrivals := 0
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		arrivals += len(src.Window(1000))
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(arrivals)/float64(b.N), "arrivals/window")
 }
 
 // benchTraceRamp caches the ramp-shaped detail stream the same way

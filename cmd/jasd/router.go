@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -92,16 +93,18 @@ func (rt *router) pick(key string) int {
 // canonical config will get (so the POST and every later GET for it agree);
 // a sweep submission routes by its body. Everything else — listings,
 // /metrics, /v1/workloads — has no job identity and pins to a stable
-// default backend.
-func (rt *router) routeKey(r *http.Request) string {
+// default backend. A submission body is buffered under the replicas' own
+// size bound and left on r intact for the proxy leg; a body that cannot
+// be read whole is an error (an *http.MaxBytesError past the bound).
+func (rt *router) routeKey(w http.ResponseWriter, r *http.Request) (string, error) {
 	if id, ok := pathID(r.URL.Path); ok {
-		return id
+		return id, nil
 	}
 	if r.Method == http.MethodPost && (r.URL.Path == "/v1/runs" || r.URL.Path == "/v1/sweeps") {
-		body, err := io.ReadAll(io.LimitReader(r.Body, 4<<20))
+		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, service.MaxSpecBytes()))
 		r.Body.Close()
 		if err != nil {
-			body = nil
+			return "", err
 		}
 		// Restore the body for the proxy leg.
 		r.Body = io.NopCloser(bytes.NewReader(body))
@@ -111,15 +114,15 @@ func (rt *router) routeKey(r *http.Request) string {
 			var spec service.JobSpec
 			if json.Unmarshal(body, &spec) == nil {
 				if cfg, err := spec.RunConfig(); err == nil {
-					return service.JobID(cfg)
+					return service.JobID(cfg), nil
 				}
 			}
 		}
 		// Sweeps (and malformed run specs, which any backend rejects the
 		// same way) route by raw body: identical resubmissions stay put.
-		return fmt.Sprintf("body:%016x", hash64(string(body)))
+		return fmt.Sprintf("body:%016x", hash64(string(body))), nil
 	}
-	return ""
+	return "", nil
 }
 
 // pathID extracts the job or sweep ID from /v1/runs/{id}[/...] and
@@ -138,9 +141,24 @@ func pathID(path string) (string, bool) {
 	return "", false
 }
 
-// ServeHTTP proxies the request to the backend its routing key owns.
+// ServeHTTP proxies the request to the backend its routing key owns. A
+// submission body the router cannot buffer is answered here, the same way
+// a replica would answer it (413 past the bound, 400 otherwise), and
+// reaches no backend.
 func (rt *router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	rt.backends[rt.pick(rt.routeKey(r))].ServeHTTP(w, r)
+	key, err := rt.routeKey(w, r)
+	if err != nil {
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(code)
+		json.NewEncoder(w).Encode(map[string]string{"error": "reading request body: " + err.Error()})
+		return
+	}
+	rt.backends[rt.pick(key)].ServeHTTP(w, r)
 }
 
 // runRouter is the -route mode entry point: a stateless front that shares

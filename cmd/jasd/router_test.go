@@ -1,11 +1,15 @@
 package main
 
 import (
+	"bytes"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"testing"
+
+	"jasworkload/internal/service"
 )
 
 func testRouter(t *testing.T, addrs ...string) *router {
@@ -81,7 +85,10 @@ func TestRouterRunSubmissionKey(t *testing.T) {
 	rt := testRouter(t, "http://a:1", "http://b:1")
 	key := func(body string) string {
 		r := httptest.NewRequest(http.MethodPost, "/v1/runs", strings.NewReader(body))
-		k := rt.routeKey(r)
+		k, err := rt.routeKey(httptest.NewRecorder(), r)
+		if err != nil {
+			t.Fatalf("routeKey: %v", err)
+		}
 		got, err := io.ReadAll(r.Body)
 		if err != nil || string(got) != body {
 			t.Fatalf("body not restored after routing: %q, %v", got, err)
@@ -141,7 +148,10 @@ func TestRouterProxiesToOwner(t *testing.T) {
 	// The GET routes by the ID in the path; derive it the way the router
 	// derives the POST key so the two legs agree.
 	r := httptest.NewRequest(http.MethodPost, "/v1/runs", strings.NewReader(spec))
-	id := rt.routeKey(r)
+	id, err := rt.routeKey(httptest.NewRecorder(), r)
+	if err != nil {
+		t.Fatal(err)
+	}
 	resp, err = http.Get(front.URL + "/v1/runs/" + id + "/report")
 	if err != nil {
 		t.Fatal(err)
@@ -150,4 +160,114 @@ func TestRouterProxiesToOwner(t *testing.T) {
 	if hits[owner] != 2 {
 		t.Fatalf("follow-up GET left the owning backend: hits %v", hits)
 	}
+}
+
+// paddedSpec is a valid run spec of exactly n bytes: the compact spec
+// with insignificant whitespace before its closing brace.
+func paddedSpec(n int) string {
+	const head = `{"scale":"quick","seed":1`
+	return head + strings.Repeat(" ", n-len(head)-1) + "}"
+}
+
+// A valid submission larger than any fixed read-ahead but within the
+// replicas' bound reaches the owning backend byte for byte, and routes by
+// its parsed job ID rather than by a hash of a cut body.
+func TestRouterForwardsLargeSpecWhole(t *testing.T) {
+	var got []byte
+	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		got, _ = io.ReadAll(r.Body)
+		w.WriteHeader(http.StatusOK)
+	}))
+	defer backend.Close()
+	rt := testRouter(t, backend.URL)
+	front := httptest.NewServer(rt)
+	defer front.Close()
+
+	spec := paddedSpec(4<<20 + 1)
+	resp, err := http.Post(front.URL+"/v1/runs", "application/json", strings.NewReader(spec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d, want 200", resp.StatusCode)
+	}
+	if string(got) != spec {
+		t.Fatalf("backend received %d bytes, want the %d-byte spec unchanged", len(got), len(spec))
+	}
+
+	key := func(body string) string {
+		k, err := rt.routeKey(httptest.NewRecorder(), httptest.NewRequest(http.MethodPost, "/v1/runs", strings.NewReader(body)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return k
+	}
+	if big, small := key(spec), key(`{"scale":"quick","seed":1}`); big != small {
+		t.Errorf("padded spec routed by %q, compact spec by %q", big, small)
+	}
+}
+
+// A submission past the replicas' bound is refused by the router itself
+// with 413, on both submission endpoints, and no backend sees it.
+func TestRouterRejectsOversizedSpec(t *testing.T) {
+	hits := 0
+	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		hits++
+		w.WriteHeader(http.StatusOK)
+	}))
+	defer backend.Close()
+	rt := testRouter(t, backend.URL)
+
+	spec := paddedSpec(int(service.MaxSpecBytes()) + 1)
+	for _, path := range []string{"/v1/runs", "/v1/sweeps"} {
+		rec := httptest.NewRecorder()
+		rt.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(spec)))
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("POST %s with %d-byte body: status %d, want 413", path, len(spec), rec.Code)
+		}
+	}
+	if hits != 0 {
+		t.Errorf("oversized submissions reached the backend %d times", hits)
+	}
+}
+
+// FuzzRouteKey: routing never panics on any path or body, and a POST body
+// within the bound is left on the request exactly as it arrived, so the
+// proxy leg forwards what the client sent.
+func FuzzRouteKey(f *testing.F) {
+	for _, seed := range []struct{ path, body string }{
+		{"/v1/runs", `{"scale":"quick","seed":1}`},
+		{"/v1/runs", `{"seed":1,"scale":"quick","timeout_s":30}`},
+		{"/v1/runs", `{"scale":"nope"}`},
+		{"/v1/runs", paddedSpec(4<<20 + 1)},
+		{"/v1/sweeps", `{"base":{"scale":"quick"},"axes":[{"param":"heap_mb","values":[128,256]}]}`},
+		{"/v1/runs/abc123/report", ""},
+		{"/v1/sweeps/s77/table", ""},
+		{"/v1/runs/", "{"},
+		{"/metrics", "\x00\xff"},
+		{"", `[1,2,`},
+	} {
+		f.Add(seed.path, []byte(seed.body))
+	}
+	rt, err := newRouter([]string{"http://a:1", "http://b:1"})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, path string, body []byte) {
+		pathID(path)
+		r := &http.Request{
+			Method: http.MethodPost,
+			URL:    &url.URL{Path: path},
+			Body:   io.NopCloser(bytes.NewReader(body)),
+		}
+		if _, err := rt.routeKey(httptest.NewRecorder(), r); err != nil {
+			t.Fatalf("routeKey(%q) on a %d-byte body: %v", path, len(body), err)
+		}
+		got, err := io.ReadAll(r.Body)
+		if err != nil || !bytes.Equal(got, body) {
+			t.Fatalf("routeKey(%q) left %d bytes on the request, want the %d-byte body unchanged (err %v)",
+				path, len(got), len(body), err)
+		}
+	})
 }

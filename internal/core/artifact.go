@@ -126,47 +126,18 @@ func (c RunConfig) Canonical() RunConfig { return c.canonical() }
 type RequestKey struct {
 	cfg RunConfig
 	// HeapCapacity is the page-rounded heap region size the run executes
-	// with; zero when sharing is disabled (cfg then carries the page size).
+	// with; it stands in for the page size, which cfg carries as Page4K.
 	HeapCapacity uint64
 }
 
 // RequestKey derives the request-level cache key for the configuration.
 func (c RunConfig) RequestKey() RequestKey {
 	k := c.canonical()
-	if !shareRequestLevel.Load() {
-		// Sharing disabled (the equivalence/benchmark foil): every
-		// canonical config gets a private request-level run, exactly like
-		// the unsplit cache.
-		return RequestKey{cfg: k}
-	}
 	page := k.HeapPageSize.Bytes()
 	cap := (k.HeapBytes + page - 1) / page * page
 	k.HeapPageSize = mem.Page4K
 	k.DetailFrac = 0
 	return RequestKey{cfg: k, HeapCapacity: cap}
-}
-
-// shareRequestLevel gates the split store. On (the default), request-level
-// runs are shared across every config with an equal RequestKey; off, each
-// canonical config owns a private request-level run, reproducing the
-// unsplit cache byte for byte (the benchmark pair's honest reference).
-var shareRequestLevel atomic.Bool
-
-func init() { shareRequestLevel.Store(true) }
-
-// ShareRequestLevel reports whether request-level runs are shared across
-// configs that differ only in detail-only knobs.
-func ShareRequestLevel() bool { return shareRequestLevel.Load() }
-
-// SetShareRequestLevel toggles request-level sharing and returns the
-// previous setting. Figures and reports are byte-identical either way;
-// only the number of request-level simulations (and wall clock) changes.
-// Flip it only between experiments — artifacts created under the old
-// setting keep the cells they were born with.
-func SetShareRequestLevel(enabled bool) bool {
-	prev := shareRequestLevel.Load()
-	shareRequestLevel.Store(enabled)
-	return prev
 }
 
 // rlCell is one shared request-level execution: a content-addressed slot

@@ -60,19 +60,13 @@ func TestRequestKeyDerivation(t *testing.T) {
 	if odd16.RequestKey() == base.RequestKey() {
 		t.Error("raw heap bytes must stay in the RequestKey (auto baseline cache)")
 	}
-
-	// With sharing disabled every canonical config is its own key.
-	prev := SetShareRequestLevel(false)
-	defer SetShareRequestLevel(prev)
-	if base.RequestKey() == paged.RequestKey() {
-		t.Error("sharing disabled, but page-size variants still share a key")
-	}
 }
 
-// TestSplitKeyEquivalence is the tentpole guard: for configs differing
-// only in detail-only knobs, the full report is byte-identical whether the
-// request-level run is shared or private — only the simulation count
-// changes (1 shared vs one per config).
+// TestSplitKeyEquivalence: for configs differing only in detail-only
+// knobs, the full report is byte-identical whether the request-level run
+// is shared or private — only the simulation count changes (1 shared vs
+// one per config). The private leg flushes the run store before each
+// config, so no config can adopt another's request-level cell.
 func TestSplitKeyEquivalence(t *testing.T) {
 	base := splitCfg()
 	paged := base
@@ -81,24 +75,25 @@ func TestSplitKeyEquivalence(t *testing.T) {
 	sampled.DetailFrac = 0.01
 	cfgs := []RunConfig{base, paged, sampled}
 
-	run := func(share bool) ([]string, int) {
-		prev := SetShareRequestLevel(share)
-		defer SetShareRequestLevel(prev)
+	run := func(private bool) ([]string, int) {
 		Flush()
 		resetSimStats()
 		outs := make([]string, len(cfgs))
 		for i, c := range cfgs {
+			if private {
+				Flush()
+			}
 			rep, err := BuildReport(c)
 			if err != nil {
-				t.Fatalf("BuildReport(share=%v, cfg %d): %v", share, i, err)
+				t.Fatalf("BuildReport(private=%v, cfg %d): %v", private, i, err)
 			}
 			outs[i] = rep.Markdown()
 		}
 		return outs, simCount("request-level")
 	}
 
-	shared, sharedSims := run(true)
-	private, privateSims := run(false)
+	shared, sharedSims := run(false)
+	private, privateSims := run(true)
 	defer Flush() // drop runs cached under reduced durations
 
 	for i := range cfgs {

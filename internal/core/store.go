@@ -102,9 +102,9 @@ var persistentStore struct {
 }
 
 // SetStore installs s as the process-wide persistent store (nil disables
-// persistence) and returns the previous one. Like SetShareRequestLevel,
-// flip it only between experiments: in-memory artifacts created under the
-// old setting keep the behaviour they were born with.
+// persistence) and returns the previous one. Flip it only between
+// experiments: in-memory artifacts created under the old setting keep the
+// behaviour they were born with.
 func SetStore(s *ArtifactStore) *ArtifactStore {
 	persistentStore.mu.Lock()
 	prev := persistentStore.s

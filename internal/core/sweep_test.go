@@ -124,10 +124,4 @@ func TestSweepDistinctRequestKeys(t *testing.T) {
 	if n := DistinctRequestKeys(cells); n != 3 {
 		t.Errorf("distinct request keys = %d, want 3 (one per heap size)", n)
 	}
-	// With sharing disabled every cell pays full price.
-	prev := SetShareRequestLevel(false)
-	defer SetShareRequestLevel(prev)
-	if n := DistinctRequestKeys(cells); n != 6 {
-		t.Errorf("sharing off: distinct request keys = %d, want 6", n)
-	}
 }

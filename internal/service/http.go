@@ -94,6 +94,11 @@ func boolParam(r *http.Request, name string) bool {
 // full-scale ramp trace is ~8 MB. A variable only so tests can lower it.
 var maxSpecBytes int64 = 32 << 20
 
+// MaxSpecBytes returns the bound on a POSTed JobSpec or SweepSpec body. A
+// front that buffers submissions reads them with the same bound, so it
+// refuses what a replica would refuse and never forwards a cut body.
+func MaxSpecBytes() int64 { return maxSpecBytes }
+
 // decodeSpec strictly decodes a size-bounded JSON body into v: a
 // misspelled field would otherwise silently take its default and submit
 // (and possibly dedup onto) the wrong experiment. On failure it writes

@@ -172,13 +172,3 @@ func SplitCacheStats() (artifact, requestLevel FidelityCacheStats) { return core
 // ("request-level", "detail", "variant") — the ground truth behind any
 // sharing claim.
 func SimCounts() map[string]int { return core.SimCounts() }
-
-// ShareRequestLevel reports whether request-level runs are shared across
-// configs that agree on every request-level-visible knob (the default).
-func ShareRequestLevel() bool { return core.ShareRequestLevel() }
-
-// SetShareRequestLevel toggles split-key request-level sharing and
-// returns the previous setting. Disabling reproduces the pre-split
-// store: every distinct config pays for its own request-level run.
-// Reports and figures are byte-identical either way.
-func SetShareRequestLevel(enabled bool) bool { return core.SetShareRequestLevel(enabled) }
