@@ -1,8 +1,8 @@
 # Tier-1 is what the roadmap requires green: build + tests.
 # `make ci` is the tier-1+ gate: formatting, vet, build, the full test
 # suite under the race detector with shuffled test order (exercising the
-# parallel experiment scheduler and the jasd worker pool), a short fuzz
-# of the router's request keying, vet and tests of the nested jasbench
+# parallel experiment scheduler and the jasd worker pool), short fuzzes
+# of the router's request keying and the trace reader, vet and tests of the nested jasbench
 # module, the workload pack calibration gate (quick-scale scalars +
 # report vs testdata goldens for all three packs), a one-shot
 # benchmark smoke of the Figure 2 pipeline and the db/jvm substrate,
@@ -36,11 +36,14 @@ vet:
 race:
 	$(GO) test -race -shuffle=on ./...
 
-# A short fuzz of the -route router's request keying: routeKey and pathID
-# never panic, and a submission body within the replicas' bound is left on
-# the request byte for byte for the proxy leg.
+# Short fuzzes of untrusted input. The -route router's request keying:
+# routeKey and pathID never panic, and a submission body within the
+# replicas' bound is left on the request byte for byte for the proxy leg.
+# The trace v1 reader: ReadTrace never panics, and an accepted trace
+# writes back byte-stably.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzRouteKey -fuzztime 5s ./cmd/jasd/
+	$(GO) test -run '^$$' -fuzz FuzzReadTrace -fuzztime 5s ./internal/loadgen/
 
 # jasbench/ is its own Go module, so the root `go build ./...` cannot see
 # it: vet and test it here, so a core or power4 API it imports cannot be
@@ -49,8 +52,10 @@ jasbench-check:
 	cd jasbench && $(GO) vet ./... && $(GO) test ./...
 
 # The batched fused loop must be bit-equivalent to the per-instruction
-# reference (fast paths off), the coherence directory and the caches must
-# match their naive differential models, and the core-sharded schedule
+# reference (fast paths off), the coherence directory, the reservation
+# ledger and the caches must match their naive differential models, the
+# branch-free cycle spills must match the guarded ones bit for bit, and
+# the core-sharded schedule
 # must be bit-equivalent at every shard count, batch size, queue depth,
 # and GOMAXPROCS; run those guards on their own so a failure names them
 # directly, then once more under the race detector so the shard workers
@@ -60,7 +65,7 @@ jasbench-check:
 # hash to its pinned SHA-256.
 equiv:
 	$(GO) test -run 'TestMixSamplerMatchesOracle|TestMixSamplerReset|TestEmitStreamFingerprint' ./internal/isa/ ./internal/server/
-	$(GO) test -run 'TestDetailStreamEquivalence|TestDirTableMatchesMap|TestCacheInsertMatchesNaive' ./internal/sim/ ./internal/power4/
+	$(GO) test -run 'TestDetailStreamEquivalence|TestDirTableMatchesMap|TestReservationLedgerMatchesMap|TestSpillMatchesGuarded|TestCacheInsertMatchesNaive' ./internal/sim/ ./internal/power4/
 	$(GO) test -run 'TestSharded' ./internal/power4/
 	$(GO) test -run 'TestEngineSharded' ./internal/sim/
 	$(GO) test -race -run 'TestShardedEquivalence|TestEngineSharded|TestDetailStreamEquivalence' ./internal/power4/ ./internal/sim/

@@ -83,9 +83,15 @@ func NewPool[T any](size int, alloc func() T) *Pool[T] {
 func (p *Pool[T]) Get() T { return <-p.ch }
 
 // Put returns an item to the pool. Putting more items than the pool's
-// size is a plumbing bug and panics via the full channel... it cannot
-// happen when every Put matches an earlier Get.
-func (p *Pool[T]) Put(v T) { p.ch <- v }
+// size is a plumbing bug, so Put panics rather than block on the full
+// channel; it cannot happen when every Put matches an earlier Get.
+func (p *Pool[T]) Put(v T) {
+	select {
+	case p.ch <- v:
+	default:
+		panic("isa: Pool.Put beyond the pool's size")
+	}
+}
 
 // Annotated pairs a copied batch of instructions with one annotation
 // value per instruction. Stages communicate through it: an

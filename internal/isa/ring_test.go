@@ -54,6 +54,18 @@ func TestPoolRecycles(t *testing.T) {
 	}
 }
 
+// A Put beyond the pool's size is a plumbing bug: it panics at once
+// instead of blocking forever on the full channel.
+func TestPoolPutOverflowPanics(t *testing.T) {
+	p := NewPool(1, func() int { return 0 })
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Put into a full pool returned")
+		}
+	}()
+	p.Put(1)
+}
+
 func TestAnnotatedSyncAnn(t *testing.T) {
 	a := &Annotated[uint32]{Ins: make([]Instr, 0, 4), Ann: make([]uint32, 0, 4)}
 	a.Ins = append(a.Ins, Instr{}, Instr{}, Instr{})

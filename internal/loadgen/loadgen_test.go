@@ -367,6 +367,9 @@ func TestTraceReadRejects(t *testing.T) {
 		{"mislabeled window", "{\"trace\":\"v1\",\"window_ms\":1000,\"windows\":1}\n{\"w\":3,\"a\":[]}"},
 		{"trailing line", "{\"trace\":\"v1\",\"window_ms\":1000,\"windows\":1}\n{\"w\":0,\"a\":[]}\n{\"w\":1,\"a\":[]}"},
 		{"invalid point", "{\"trace\":\"v1\",\"window_ms\":1000,\"windows\":1}\n{\"w\":0,\"a\":[[0,2000]]}"},
+		// The header's count once sized a slice before any line arrived,
+		// so this 62-byte trace panicked in makeslice.
+		{"window count beyond the body", `{"trace":"v1","window_ms":1000,"windows":4611686018427387904}`},
 	}
 	for _, tc := range bad {
 		if _, err := ReadTrace(strings.NewReader(tc.raw)); err == nil {

@@ -76,7 +76,9 @@ func ReadTrace(r io.Reader) (*TraceSpec, error) {
 	if !(h.WindowMS > 0) {
 		return nil, fmt.Errorf("trace: header window_ms %v must be > 0", h.WindowMS)
 	}
-	t := &TraceSpec{WindowMS: h.WindowMS, Windows: make([][]TracePoint, 0, h.Windows)}
+	// Windows grows as lines decode: the header's count is untrusted until
+	// that many lines have actually arrived.
+	t := &TraceSpec{WindowMS: h.WindowMS}
 	for i := 0; i < h.Windows; i++ {
 		var line traceLine
 		if err := dec.Decode(&line); err != nil {

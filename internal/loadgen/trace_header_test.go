@@ -1,6 +1,7 @@
 package loadgen
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 )
@@ -56,4 +57,32 @@ func TestTraceHeaderRejectedBeforeWindows(t *testing.T) {
 	if !strings.Contains(err.Error(), "window_ms") {
 		t.Fatalf("error %q does not name window_ms", err)
 	}
+}
+
+// FuzzReadTrace: ReadTrace never panics, and a trace it accepts writes
+// back to bytes that read and write again unchanged, so a trace file
+// round-trips through jasrun and jasd byte for byte. Seeds live under
+// testdata/fuzz/FuzzReadTrace.
+func FuzzReadTrace(f *testing.F) {
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		tr, err := ReadTrace(bytes.NewReader(raw))
+		if err != nil {
+			return
+		}
+		var first bytes.Buffer
+		if err := WriteTrace(&first, tr); err != nil {
+			t.Fatalf("WriteTrace of an accepted trace: %v", err)
+		}
+		again, err := ReadTrace(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("ReadTrace rejects what WriteTrace wrote: %v\n%s", err, first.Bytes())
+		}
+		var second bytes.Buffer
+		if err := WriteTrace(&second, again); err != nil {
+			t.Fatalf("second WriteTrace: %v", err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("write -> read -> write is not byte-stable:\n%s\nvs\n%s", first.Bytes(), second.Bytes())
+		}
+	})
 }

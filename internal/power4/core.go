@@ -2,6 +2,7 @@ package power4
 
 import (
 	"fmt"
+	"reflect"
 
 	"jasworkload/internal/isa"
 	"jasworkload/internal/mem"
@@ -92,6 +93,27 @@ func DefaultPenalties() Penalties {
 		RetryDispatchDiv:  14,
 		SpecAheadDispatch: 0.9,
 	}
+}
+
+// maxPenalty bounds every Penalties field. The largest single charge is
+// a latency times an exposure fraction, so with both at most 2^30 every
+// cycle and dispatch accumulator stays below 2^63 and the branch-free
+// spills in stages.go stay exact.
+const maxPenalty = 1 << 30
+
+// validate rejects penalties outside [0, maxPenalty], NaN included, and a
+// DERAT retry divisor that makes the retry charge overflow.
+func (p *Penalties) validate() error {
+	v := reflect.ValueOf(p).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		if x := v.Field(i).Float(); !(x >= 0 && x <= maxPenalty) {
+			return fmt.Errorf("power4: penalty %s = %v, want a number in [0, %d]", v.Type().Field(i).Name, x, maxPenalty)
+		}
+	}
+	if r := p.DERATMiss / p.RetryDispatchDiv; !(r <= maxPenalty) {
+		return fmt.Errorf("power4: DERAT retry charge DERATMiss/RetryDispatchDiv = %v, want at most %d", r, maxPenalty)
+	}
+	return nil
 }
 
 // CoreConfig configures one simulated core.
@@ -247,6 +269,9 @@ func NewCore(cfg CoreConfig, hier *Hierarchy, space *mem.AddressSpace) (*Core, e
 	if hier == nil || space == nil {
 		return nil, fmt.Errorf("power4: core needs hierarchy and address space")
 	}
+	if err := cfg.Penalties.validate(); err != nil {
+		return nil, err
+	}
 	l1i, err := NewCache(cfg.L1I)
 	if err != nil {
 		return nil, err
@@ -322,28 +347,7 @@ func (c *Core) ConsumeBatch(b isa.Batch) {
 					acc.kinst++
 				}
 				c.addDispatch(p.DispatchALU)
-				// chargeBase(p.BaseCPI, ins.Kernel) with flushCycles spelled
-				// out, so the float accumulation stays inline in the hot loop.
-				c.cycFrac += p.BaseCPI
-				c.compFrac += p.BaseCPI
-				if ins.Kernel {
-					c.kcycFrac += p.BaseCPI
-				}
-				if c.cycFrac >= 1 {
-					n := uint64(c.cycFrac)
-					c.ctr.Add(EvCycles, n)
-					c.cycFrac -= float64(n)
-				}
-				if c.compFrac >= 1 {
-					n := uint64(c.compFrac)
-					c.ctr.Add(EvCycWithCompletion, n)
-					c.compFrac -= float64(n)
-				}
-				if c.kcycFrac >= 1 {
-					n := uint64(c.kcycFrac)
-					c.ctr.Add(EvKernelCycles, n)
-					c.kcycFrac -= float64(n)
-				}
+				c.chargeBase(p.BaseCPI, ins.Kernel)
 				acc.ifetchL1++
 				c.lastIPC = ins.PC
 				continue
@@ -357,26 +361,7 @@ func (c *Core) ConsumeBatch(b isa.Batch) {
 					acc.kinst++
 				}
 				c.addDispatch(p.DispatchBranch)
-				c.cycFrac += p.BaseCPI
-				c.compFrac += p.BaseCPI
-				if ins.Kernel {
-					c.kcycFrac += p.BaseCPI
-				}
-				if c.cycFrac >= 1 {
-					n := uint64(c.cycFrac)
-					c.ctr.Add(EvCycles, n)
-					c.cycFrac -= float64(n)
-				}
-				if c.compFrac >= 1 {
-					n := uint64(c.compFrac)
-					c.ctr.Add(EvCycWithCompletion, n)
-					c.compFrac -= float64(n)
-				}
-				if c.kcycFrac >= 1 {
-					n := uint64(c.kcycFrac)
-					c.ctr.Add(EvKernelCycles, n)
-					c.kcycFrac -= float64(n)
-				}
+				c.chargeBase(p.BaseCPI, ins.Kernel)
 				acc.ifetchL1++
 				c.lastIPC = ins.PC
 				acc.brCond++

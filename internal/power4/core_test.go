@@ -1,6 +1,7 @@
 package power4
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -35,6 +36,33 @@ func TestNewCoreValidation(t *testing.T) {
 	bad.L1D.Ways = 0
 	if _, err := NewCore(bad, h, layout.Space); err == nil {
 		t.Fatal("bad L1D accepted")
+	}
+	// The branch-free cycle spills are exact only while every accumulator
+	// stays in [0, 2^63), so penalties that could push one outside are
+	// rejected.
+	for _, tc := range []struct {
+		name string
+		set  func(p *Penalties)
+	}{
+		{"negative", func(p *Penalties) { p.BaseCPI = -0.5 }},
+		{"NaN", func(p *Penalties) { p.MemLatency = math.NaN() }},
+		{"+Inf", func(p *Penalties) { p.TLBWalk = math.Inf(1) }},
+		{"-Inf", func(p *Penalties) { p.DispatchMem = math.Inf(-1) }},
+		{"huge", func(p *Penalties) { p.PrefCovered = 1e300 }},
+		{"zero retry divisor", func(p *Penalties) { p.RetryDispatchDiv = 0 }},
+		{"zero retry ratio", func(p *Penalties) { p.DERATMiss, p.RetryDispatchDiv = 0, 0 }},
+	} {
+		cfg := DefaultCoreConfig(0)
+		tc.set(&cfg.Penalties)
+		if _, err := NewCore(cfg, h, layout.Space); err == nil {
+			t.Errorf("%s penalty accepted", tc.name)
+		}
+	}
+	ok := DefaultCoreConfig(0)
+	ok.Penalties.CondMispred = 0
+	ok.Penalties.MemLatency = maxPenalty
+	if _, err := NewCore(ok, h, layout.Space); err != nil {
+		t.Errorf("zero and maximal penalties rejected: %v", err)
 	}
 }
 

@@ -1,8 +1,9 @@
 package power4
 
-// dirTable is the coherence directory's storage: an open-addressed hash
-// table from 128-byte line address to lineState, replacing the generic
-// map that dominated the store/install hot path. Design points:
+// dirTable is the storage of the coherence directory and of the
+// reservation ledger (locks.go): an open-addressed hash table from
+// 128-byte line address to lineState, replacing the generic maps that
+// dominated the store/install hot path. Design points:
 //
 //   - Linear probing with tombstone deletion: a delete never moves other
 //     entries, so *lineState pointers handed out by get/getOrCreate stay

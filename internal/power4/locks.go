@@ -10,39 +10,36 @@ package power4
 const reservationWindow = 4096
 
 // noteRemoteStore records that chip stored to line (called from Store).
-// The ledger is a FIFO ring so that eviction is deterministic.
+// The ledger keeps each line's storing chips in a dirTable entry's sharers
+// mask; a FIFO ring of first-record order makes eviction deterministic.
+// ReservationLost deletes a record without touching the ring, so a line
+// recorded again afterwards has two ring entries, and evicting the stale
+// one deletes the new record early.
 func (h *Hierarchy) noteRemoteStore(chip int, line uint64) {
-	if h.recentStores == nil {
-		h.recentStores = make(map[uint64]uint8, reservationWindow)
-		h.storeRing = make([]uint64, 0, reservationWindow)
-	}
-	m, ok := h.recentStores[line]
-	if !ok {
+	st := h.recentStores.get(line)
+	if st == nil {
 		if len(h.storeRing) >= reservationWindow {
-			oldest := h.storeRing[h.storeRingPos]
-			delete(h.recentStores, oldest)
+			h.recentStores.del(h.storeRing[h.storeRingPos])
 			h.storeFastN = 0 // the evicted record may back a fast-path entry
 			h.storeRing[h.storeRingPos] = line
 			h.storeRingPos = (h.storeRingPos + 1) % reservationWindow
 		} else {
 			h.storeRing = append(h.storeRing, line)
 		}
+		st = h.recentStores.getOrCreate(line)
 	}
-	if m&(1<<uint(chip)) == 0 {
-		h.recentStores[line] = m | 1<<uint(chip)
-	}
+	st.sharers |= 1 << uint(chip)
 }
 
 // ReservationLost reports whether any other chip stored to line since it
 // was recorded, consuming the record for this core's chip.
 func (h *Hierarchy) ReservationLost(core int, line uint64) bool {
 	h.storeFastN = 0 // may consume a recentStores record the fast path relies on
-	chip := h.ChipOf(core)
-	m, ok := h.recentStores[line]
-	if !ok {
+	st := h.recentStores.get(line)
+	if st == nil {
 		return false
 	}
-	others := m &^ (1 << uint(chip))
-	delete(h.recentStores, line)
+	others := st.sharers &^ (1 << uint(h.ChipOf(core)))
+	h.recentStores.del(line)
 	return others != 0
 }

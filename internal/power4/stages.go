@@ -85,19 +85,19 @@ type acctState struct {
 }
 
 // chargeBase charges completing cycles (the per-instruction base-CPI
-// charge); chargeStall charges non-completing (stall) cycles. The
-// whole-cycle spills into the counter array happen in flushCycles. Every
-// accumulator is kept < 1 after each charge, so checking all three in
-// flushCycles regardless of which one crossed is exact.
+// charge); chargeStall charges non-completing (stall) cycles. Both end in
+// flushCycles, which spills the whole cycles of every accumulator into the
+// counter array without a guard: for 0 <= x < 1 the spill adds 0 and
+// leaves x unchanged bit for bit, and for x >= 1 it is the guarded spill.
+// That holds while every accumulator stays in [0, 2^63), which NewCore
+// ensures by rejecting negative, non-finite and huge penalties.
 func (a *acctState) chargeBase(cy float64, kernel bool) {
 	a.cycFrac += cy
 	a.compFrac += cy
 	if kernel {
 		a.kcycFrac += cy
 	}
-	if a.cycFrac >= 1 || a.compFrac >= 1 || a.kcycFrac >= 1 {
-		a.flushCycles()
-	}
+	a.flushCycles()
 }
 
 func (a *acctState) chargeStall(cy float64, kernel bool) {
@@ -105,36 +105,26 @@ func (a *acctState) chargeStall(cy float64, kernel bool) {
 	if kernel {
 		a.kcycFrac += cy
 	}
-	if a.cycFrac >= 1 || a.kcycFrac >= 1 {
-		a.flushCycles()
-	}
+	a.flushCycles()
 }
 
 func (a *acctState) flushCycles() {
-	if a.cycFrac >= 1 {
-		n := uint64(a.cycFrac)
-		a.ctr.Add(EvCycles, n)
-		a.cycFrac -= float64(n)
-	}
-	if a.compFrac >= 1 {
-		n := uint64(a.compFrac)
-		a.ctr.Add(EvCycWithCompletion, n)
-		a.compFrac -= float64(n)
-	}
-	if a.kcycFrac >= 1 {
-		n := uint64(a.kcycFrac)
-		a.ctr.Add(EvKernelCycles, n)
-		a.kcycFrac -= float64(n)
-	}
+	n := int64(a.cycFrac)
+	a.ctr.v[EvCycles] += uint64(n)
+	a.cycFrac -= float64(n)
+	n = int64(a.compFrac)
+	a.ctr.v[EvCycWithCompletion] += uint64(n)
+	a.compFrac -= float64(n)
+	n = int64(a.kcycFrac)
+	a.ctr.v[EvKernelCycles] += uint64(n)
+	a.kcycFrac -= float64(n)
 }
 
-func (a *acctState) addDispatch(n float64) {
-	a.dispFrac += n
-	if a.dispFrac >= 1 {
-		k := uint64(a.dispFrac)
-		a.ctr.Add(EvInstDispatched, k)
-		a.dispFrac -= float64(k)
-	}
+func (a *acctState) addDispatch(x float64) {
+	a.dispFrac += x
+	n := int64(a.dispFrac)
+	a.ctr.v[EvInstDispatched] += uint64(n)
+	a.dispFrac -= float64(n)
 }
 
 // addPrefetch mirrors drainPrefetch's counter half (early-out when the

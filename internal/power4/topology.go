@@ -100,17 +100,17 @@ type Hierarchy struct {
 	dir  *dirTable // the coherence directory
 	mcms int
 
-	recentStores map[uint64]uint8 // lines recently stored to, per chip (reservation tracking)
-	storeRing    []uint64         // FIFO of tracked lines (deterministic eviction)
+	recentStores *dirTable // lines recently stored to; sharers = storing chips (locks.go)
+	storeRing    []uint64  // FIFO of tracked lines (deterministic eviction)
 	storeRingPos int
 
 	// Store fast-path state. Immediately after Store(chip, line) completes,
 	// the line is resident in that chip's L2 in Modified state with no other
 	// sharers, the directory entry reads {owner: chip, sharers: {chip}}, and
-	// recentStores[line] already carries the chip's bit (so the FIFO ring is
-	// untouched by a re-record). A repeat store from the same chip to such a
-	// line therefore changes nothing, provided nothing disturbed that state
-	// in between:
+	// the line's recentStores record already carries the chip's bit (so the
+	// FIFO ring is untouched by a re-record). A repeat store from the same
+	// chip to such a line therefore changes nothing, provided nothing
+	// disturbed that state in between:
 	//
 	//   - Load/FetchInst, PrefetchFill and ReservationLost can touch any
 	//     line's L2 set, directory entry or reservation record, so they
@@ -145,7 +145,10 @@ func NewHierarchy(cfg TopologyConfig) (*Hierarchy, error) {
 		return nil, fmt.Errorf("power4: bad topology %+v", cfg)
 	}
 	mcms := (cfg.Chips + cfg.ChipsPerMCM - 1) / cfg.ChipsPerMCM
-	h := &Hierarchy{cfg: cfg, dir: newDirTable(), mcms: mcms}
+	h := &Hierarchy{
+		cfg: cfg, dir: newDirTable(), mcms: mcms,
+		recentStores: newDirTable(), storeRing: make([]uint64, 0, reservationWindow),
+	}
 	for i := 0; i < cfg.Chips; i++ {
 		c, err := NewCache(cfg.L2)
 		if err != nil {
