@@ -62,13 +62,18 @@ jasbench-check:
 # and merge are exercised for data races too. The trace emitter is held to
 # its oracles the same way: the table-driven mix sampler must draw the
 # reference sampler's class sequence exactly, and the emitted stream must
-# hash to its pinned SHA-256.
+# hash to its pinned SHA-256. The JVM heap must match its naive reference
+# heap after every operation of a random stream (also under the race
+# detector), and the heap-size sweep's Figures 2-4 must hash to their
+# pinned SHA-256.
 equiv:
 	$(GO) test -run 'TestMixSamplerMatchesOracle|TestMixSamplerReset|TestEmitStreamFingerprint' ./internal/isa/ ./internal/server/
+	$(GO) test -run 'TestHeapMatchesReference|TestHeapSweepFingerprint' ./internal/jvm/
 	$(GO) test -run 'TestDetailStreamEquivalence|TestDirTableMatchesMap|TestReservationLedgerMatchesMap|TestSpillMatchesGuarded|TestCacheInsertMatchesNaive' ./internal/sim/ ./internal/power4/
 	$(GO) test -run 'TestSharded' ./internal/power4/
 	$(GO) test -run 'TestEngineSharded' ./internal/sim/
 	$(GO) test -race -run 'TestShardedEquivalence|TestEngineSharded|TestDetailStreamEquivalence' ./internal/power4/ ./internal/sim/
+	$(GO) test -race -run 'TestHeapMatchesReference' ./internal/jvm/
 
 # The workload-pack calibration gate: every registered scenario pack
 # (jas2004, dataanalytics, virtweb) re-derives its quick-scale headline
@@ -82,13 +87,14 @@ calibrate:
 
 # The floor check (JAS_BENCH_FLOOR=1) fails if the sharded-auto detail
 # stream is slower than the fused loop: the concurrent schedule may never
-# be a pessimization on the CI host. The db and jvm
-# substrate microbenchmarks (WAL commit, scan after delete, heap collect)
-# and the trace-emission ones (one request's stream in ns/instr, one mix
-# sampler draw) run once each so they keep compiling and running.
+# be a pessimization on the CI host. The db and jvm substrate
+# microbenchmarks (WAL commit, scan after delete, heap collect, the
+# heap-size sweep's collector traffic) and the trace-emission ones (one
+# request's stream in ns/instr, one mix sampler draw) run once each so
+# they keep compiling and running.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkFig2|BenchmarkDetailStream|BenchmarkBuildReport' -benchtime 1x .
-	$(GO) test -run '^$$' -bench 'BenchmarkWALCommit|BenchmarkScanAfterDelete|BenchmarkHeapCollect' -benchmem -benchtime 1x ./internal/db/ ./internal/jvm/
+	$(GO) test -run '^$$' -bench 'BenchmarkWALCommit|BenchmarkScanAfterDelete|BenchmarkHeapCollect|BenchmarkHeapSweepChurn' -benchmem -benchtime 1x ./internal/db/ ./internal/jvm/
 	$(GO) test -run '^$$' -bench 'BenchmarkTraceEmit|BenchmarkMixSamplerNext' -benchtime 1x ./internal/server/ ./internal/isa/
 	JAS_BENCH_FLOOR=1 $(GO) test -run 'TestShardedFloor' -count 1 .
 

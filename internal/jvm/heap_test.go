@@ -1,6 +1,7 @@
 package jvm
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -54,6 +55,11 @@ func TestAllocBasics(t *testing.T) {
 	}
 	if _, err := h.Alloc(0); err == nil {
 		t.Fatal("zero-size alloc accepted")
+	}
+	// In a heap with room for it, the 16-byte-aligned size of a 4 GB
+	// request would overflow the object's uint32 size field.
+	if _, err := testHeap(t, 8<<30).Alloc(math.MaxUint32); err == nil {
+		t.Fatal("alloc whose aligned size overflows the size field accepted")
 	}
 	if h.AllocatedBytes() != 112 {
 		t.Fatalf("allocated = %d", h.AllocatedBytes())
@@ -232,14 +238,14 @@ func TestCompactEliminatesDarkMatter(t *testing.T) {
 	}
 	// Objects remain disjoint and inside the region.
 	var last uint64
-	for i := range h.objects {
-		if !h.objects[i].alive {
+	for id := ObjID(0); int(id) < len(h.mark); id++ {
+		if !h.Alive(id) {
 			continue
 		}
-		if h.objects[i].addr < last {
+		if h.Addr(id) < last {
 			t.Fatal("compaction produced overlapping objects")
 		}
-		last = h.objects[i].addr + uint64(h.objects[i].size)
+		last = h.Addr(id) + uint64(h.ObjSize(id))
 	}
 }
 

@@ -130,13 +130,6 @@ type Hierarchy struct {
 	storeFastN    int
 	storeFastChip int
 	noFast        bool // disables the store fast path (reference behaviour)
-
-	// OnSource, when non-nil, observes every serviced L1 load miss with its
-	// source label (debug/ablation hook).
-	OnSource func(ra uint64, src DataSource)
-	// OnStore, when non-nil, observes every store reaching the coherence
-	// point with the storing chip (debug/ablation hook).
-	OnStore func(ra uint64, chip int)
 }
 
 // NewHierarchy builds the shared cache levels.
@@ -181,14 +174,6 @@ func (h *Hierarchy) lineOf(ra uint64) uint64 { return ra >> 7 } // 128-byte cohe
 // data source label. ra is the real address.
 func (h *Hierarchy) Load(core int, ra uint64) DataSource {
 	h.storeFastN = 0
-	src := h.load(core, ra)
-	if h.OnSource != nil {
-		h.OnSource(ra, src)
-	}
-	return src
-}
-
-func (h *Hierarchy) load(core int, ra uint64) DataSource {
 	chip := h.ChipOf(core)
 	mcm := h.MCMOf(chip)
 	line := h.lineOf(ra)
@@ -253,7 +238,7 @@ func (h *Hierarchy) load(core int, ra uint64) DataSource {
 func (h *Hierarchy) Store(core int, ra uint64) (l2Miss bool) {
 	chip := h.ChipOf(core)
 	line := h.lineOf(ra)
-	if !h.noFast && h.OnStore == nil && chip == h.storeFastChip {
+	if !h.noFast && chip == h.storeFastChip {
 		for i := 0; i < h.storeFastN; i++ {
 			if h.storeFast[i].line == line {
 				// Provable no-op: see the storeFast field comment. The slow
@@ -262,9 +247,6 @@ func (h *Hierarchy) Store(core int, ra uint64) (l2Miss bool) {
 				return false
 			}
 		}
-	}
-	if h.OnStore != nil {
-		h.OnStore(ra, chip)
 	}
 	hit := h.l2[chip].Lookup(ra)
 	var st *lineState
@@ -294,7 +276,7 @@ func (h *Hierarchy) Store(core int, ra uint64) (l2Miss bool) {
 // line by chip: entries whose L2 set this store may have perturbed are
 // dropped, then the line is appended (evicting the oldest on overflow).
 func (h *Hierarchy) recordStoreFast(chip int, line uint64) {
-	if h.noFast || h.OnStore != nil {
+	if h.noFast {
 		h.storeFastN = 0
 		return
 	}
